@@ -197,9 +197,12 @@ void BM_TpccWorkersPerWarehouse(benchmark::State& state) {
       sessions->push_back(db->MakeSession(t));
     }
   }
-  tpcc::TpccDb::Session& session = (*sessions)[state.thread_index()];
+  // Thread 0 builds `sessions` before the loop's start barrier; the other
+  // threads may only look theirs up once they are past that barrier.
+  tpcc::TpccDb::Session* session = nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db->RunNextTransaction(session));
+    if (session == nullptr) session = &(*sessions)[state.thread_index()];
+    benchmark::DoNotOptimize(db->RunNextTransaction(*session));
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {

@@ -8,8 +8,10 @@
 #   default:  full build + full test suite in ./build
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
-#             ThreadSanitizer — the data-race gate for ShardedStore, the
-#             striped PageTable, the per-shard async seal pipeline
+#             ThreadSanitizer — the data-race gate for ShardedStore and
+#             its spinning shard locks (including more client threads
+#             than cores), the lock-free PageTable, the per-shard async
+#             seal pipeline
 #             (AsyncSeal* cases in tests/core/sharded_store_test.cc), the
 #             latch-striped buffer pool (BufferPoolParallel*, which
 #             includes the latch-free CLOCK hit-path stress), the
@@ -210,6 +212,39 @@ if [[ -x "$BUILD_DIR/bench/io_backend" ]]; then
   grep -q '"mode":"delta"' "$BUILD_DIR/io_backend_smoke.json"
   grep -q '"ckpt_bytes_full_over_delta"' "$BUILD_DIR/io_backend_smoke.json"
   echo "check.sh: io_backend delta-checkpoint smoke green"
+fi
+
+# Multi-threaded TPC-C micro-bench smoke: BM_TpccWorkersPerWarehouse at
+# 1/2/4/8 threads, one short repetition each — the gate for its
+# thread-start race (non-zero threads must look their session up only
+# after google-benchmark's start barrier). Every thread count must
+# report a result.
+if [[ -x "$BUILD_DIR/bench/micro_btree" ]]; then
+  "$BUILD_DIR/bench/micro_btree" \
+    --benchmark_filter=BM_TpccWorkersPerWarehouse \
+    --benchmark_min_time=0.01 \
+    --benchmark_out="$BUILD_DIR/micro_btree_smoke.json" \
+    --benchmark_out_format=json
+  for threads in 1 2 4 8; do
+    grep -q "\"BM_TpccWorkersPerWarehouse/real_time/threads:$threads\"" \
+      "$BUILD_DIR/micro_btree_smoke.json"
+  done
+  echo "check.sh: micro_btree multi-thread TPC-C smoke green"
+fi
+
+# Concurrent store smoke: the thread-scaling sweep at 1 and 4 client
+# threads over a 4-shard ShardedStore — runs the shared page table and
+# the shard locks under real contention in a bench. Both thread counts
+# must emit a row.
+if [[ -x "$BUILD_DIR/bench/scale_threads" ]]; then
+  LSS_BENCH_THREADS=1,4 \
+    LSS_BENCH_JSON="$BUILD_DIR/scale_threads_smoke.json" \
+    "$BUILD_DIR/bench/scale_threads"
+  grep -q '"bench":"scale_threads","threads":1,' \
+    "$BUILD_DIR/scale_threads_smoke.json"
+  grep -q '"bench":"scale_threads","threads":4,' \
+    "$BUILD_DIR/scale_threads_smoke.json"
+  echo "check.sh: scale_threads smoke green"
 fi
 
 echo "check.sh: all green"

@@ -108,7 +108,7 @@ struct BackendRecovery {
 ///   Scan           rebuild the mirrored state after a restart
 ///
 /// Exactly one backend instance exists per shard (PR 2 serialised each
-/// shard behind its own mutex), so implementations need no internal
+/// shard behind its own lock), so implementations need no internal
 /// locking. All methods return Status; the shard treats any failure as
 /// fatal for the affected operation (write failures become the store's
 /// sticky error, exactly like out-of-space).

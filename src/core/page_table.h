@@ -2,9 +2,10 @@
 #define LSS_CORE_PAGE_TABLE_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <cstdlib>
+#include <new>
 
 #include "core/types.h"
 
@@ -34,67 +35,80 @@ struct PageMeta {
   UpdateCount last_update = 0;
 };
 
-/// Lock-striped page table: PageId -> PageMeta. Page ids are expected to
-/// be small integers (workloads number their pages 0..P-1); the table
-/// grows on demand.
+/// Dense page table: PageId -> PageMeta, one array indexed by page id (the
+/// OS coremap layout), split into chunks of kChunkPages entries behind a
+/// fixed directory of kMaxChunks pointers. Page ids are small integers
+/// (workloads number their pages 0..P-1); ids at or past kMaxPages read
+/// as absent, and StoreShard::Write rejects them.
 ///
-/// Storage is split into kStripes independently locked stripes (page id
-/// low bits select the stripe), so shards of a ShardedStore can grow and
-/// read the shared table concurrently without a global lock — the same
-/// fine-grained-locking idiom an OS coremap uses for its physical page
-/// entries. Each stripe is a deque, so references returned by Ensure /
-/// GetMutable stay valid across later growth.
+/// Lookups are lock-free: one acquire-load of a chunk pointer, then an
+/// index. Growth publishes a fresh chunk by CAS (a thread that loses the
+/// race frees its copy). Chunks never move, so references returned by
+/// Ensure stay valid for the table's lifetime.
 ///
-/// Concurrency contract: the table protects its own *structure* (growth,
-/// slot lookup) with the stripe locks. The PageMeta *fields* themselves
-/// are not locked here — all accesses to a given page's meta must be
-/// serialized by the page's owner (in a ShardedStore, the owning shard's
-/// mutex; in a plain LogStructuredStore, the single-threaded caller).
+/// Concurrency contract: the table's *structure* (growth, lookup) is safe
+/// from any thread. The PageMeta *fields* are not synchronised here: all
+/// accesses to a page's meta must be serialised by the page's owner (in a
+/// ShardedStore, the owning shard's lock; in a LogStructuredStore, the
+/// single-threaded caller).
 class PageTable {
  public:
-  static constexpr uint32_t kStripeBits = 6;
-  static constexpr uint32_t kStripes = 1u << kStripeBits;  // 64
+  static constexpr uint32_t kChunkBits = 12;
+  static constexpr PageId kChunkPages = PageId{1} << kChunkBits;
+  static constexpr PageId kMaxChunks = PageId{1} << 16;
+  static constexpr PageId kMaxPages = kChunkPages * kMaxChunks;  // 2^28
 
-  PageTable() = default;
+  // calloc: the directory arrives zeroed from the OS, so only the parts
+  // that ever hold a chunk pointer get touched.
+  PageTable()
+      : chunks_(static_cast<std::atomic<PageMeta*>*>(
+            std::calloc(kMaxChunks, sizeof(std::atomic<PageMeta*>)))) {
+    if (chunks_ == nullptr) throw std::bad_alloc();
+  }
+  ~PageTable() {
+    for (PageId c = 0; c << kChunkBits < Size(); ++c) delete[] chunks_[c];
+    std::free(chunks_);
+  }
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
 
-  /// Returns the metadata slot for `page`, growing its stripe if needed.
+  static constexpr bool Addressable(PageId page) { return page < kMaxPages; }
+
+  /// The metadata slot for `page`, growing the table if needed. Requires
+  /// Addressable(page).
   PageMeta& Ensure(PageId page) {
-    Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.metas.size() <= slot) s.metas.resize(slot + 1);
-    // Size() is the max ensured page id + 1, maintained monotonically.
-    PageId want = page + 1;
-    PageId cur = size_.load(std::memory_order_relaxed);
-    while (cur < want &&
-           !size_.compare_exchange_weak(cur, want, std::memory_order_acq_rel)) {
+    assert(Addressable(page));
+    std::atomic<PageMeta*>& slot = chunks_[page >> kChunkBits];
+    PageMeta* chunk = slot.load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      PageMeta* fresh = new PageMeta[kChunkPages]();
+      if (slot.compare_exchange_strong(chunk, fresh, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        chunk = fresh;
+      } else {
+        delete[] fresh;
+      }
     }
-    return s.metas[slot];
+    // Size() is the max ensured page id + 1, maintained monotonically.
+    PageId cur = size_.load(std::memory_order_relaxed);
+    while (cur <= page && !size_.compare_exchange_weak(
+                              cur, page + 1, std::memory_order_acq_rel)) {
+    }
+    return chunk[page & (kChunkPages - 1)];
   }
 
   /// Metadata for `page`; pages never materialised read as an absent
   /// default (exactly what a freshly grown slot would hold).
   const PageMeta& Get(PageId page) const {
     static const PageMeta kAbsent{};
-    const Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (slot >= s.metas.size()) return kAbsent;
-    return s.metas[slot];
+    if (!Addressable(page)) return kAbsent;
+    const PageMeta* chunk =
+        chunks_[page >> kChunkBits].load(std::memory_order_acquire);
+    return chunk == nullptr ? kAbsent : chunk[page & (kChunkPages - 1)];
   }
-
-  /// Mutable metadata; materialises the slot if needed.
-  PageMeta& GetMutable(PageId page) { return Ensure(page); }
 
   /// True if `page` has ever been written and is currently present.
-  bool Present(PageId page) const {
-    const Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    return slot < s.metas.size() && s.metas[slot].loc.Present();
-  }
+  bool Present(PageId page) const { return Get(page).loc.Present(); }
 
   /// Number of page slots allocated (max page id ensured + 1).
   size_t Size() const { return size_.load(std::memory_order_acquire); }
@@ -102,27 +116,12 @@ class PageTable {
   /// Number of currently present pages (O(n); for tests/diagnostics).
   size_t CountPresent() const {
     size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (const PageMeta& m : s.metas) n += m.loc.Present() ? 1 : 0;
-    }
+    for (PageId p = 0; p < Size(); ++p) n += Present(p) ? 1 : 0;
     return n;
   }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::deque<PageMeta> metas;
-  };
-
-  static constexpr uint32_t StripeOf(PageId page) {
-    return static_cast<uint32_t>(page) & (kStripes - 1);
-  }
-  static constexpr size_t SlotOf(PageId page) {
-    return static_cast<size_t>(page >> kStripeBits);
-  }
-
-  Stripe stripes_[kStripes];
+  std::atomic<PageMeta*>* const chunks_;
   std::atomic<PageId> size_{0};
 };
 

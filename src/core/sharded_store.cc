@@ -25,7 +25,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
 Status ShardedStore::Close() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     Status st = s->shard->Close();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
@@ -89,20 +89,20 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
 void ShardedStore::SetExactFrequencyOracle(const ExactFrequencyFn& oracle) {
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     s->shard->SetExactFrequencyOracle(oracle);
   }
 }
 
 Status ShardedStore::Write(PageId page, uint32_t bytes) {
   Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SpinLock> lock(s.mu);
   return s.shard->Write(page, bytes);
 }
 
 Status ShardedStore::Delete(PageId page) {
   Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SpinLock> lock(s.mu);
   return s.shard->Delete(page);
 }
 
@@ -111,7 +111,7 @@ Status ShardedStore::Flush() {
   // drain their buffers; report the first error.
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     Status st = s->shard->Flush();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
@@ -121,7 +121,7 @@ Status ShardedStore::Flush() {
 Status ShardedStore::Checkpoint() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     Status st = s->shard->Checkpoint();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
@@ -130,26 +130,26 @@ Status ShardedStore::Checkpoint() {
 
 Status ShardedStore::ReadPage(PageId page, std::vector<uint8_t>* out) const {
   const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SpinLock> lock(s.mu);
   return s.shard->ReadPage(page, out);
 }
 
 bool ShardedStore::Contains(PageId page) const {
   const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SpinLock> lock(s.mu);
   return s.shard->Contains(page);
 }
 
 uint32_t ShardedStore::PageSize(PageId page) const {
   const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SpinLock> lock(s.mu);
   return s.shard->PageSize(page);
 }
 
 StoreStats ShardedStore::AggregatedStats() const {
   StoreStats total;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     // Snapshot, not stats(): async mode keeps device and group-fsync
     // counters on the shard's I/O thread.
     total.Merge(s->shard->StatsSnapshot());
@@ -159,7 +159,7 @@ StoreStats ShardedStore::AggregatedStats() const {
 
 void ShardedStore::ResetMeasurement() {
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     s->shard->ResetMeasurement();
   }
 }
@@ -168,7 +168,7 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
   std::vector<double> wamp;
   wamp.reserve(shards_.size());
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     wamp.push_back(s->shard->stats().WriteAmplification());
   }
   return wamp;
@@ -177,7 +177,7 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
 double ShardedStore::CurrentFillFactor() const {
   double fill_sum = 0.0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     fill_sum += s->shard->CurrentFillFactor();
   }
   // Shards have identical device sizes, so the aggregate fill is the mean.
@@ -187,7 +187,7 @@ double ShardedStore::CurrentFillFactor() const {
 size_t ShardedStore::LivePageCount() const {
   size_t n = 0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     n += s->shard->LivePageCount();
   }
   return n;
@@ -195,7 +195,7 @@ size_t ShardedStore::LivePageCount() const {
 
 Status ShardedStore::CheckInvariants() const {
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SpinLock> lock(s->mu);
     Status st = s->shard->CheckInvariants();
     if (!st.ok()) return st;
   }

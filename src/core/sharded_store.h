@@ -14,6 +14,7 @@
 #include "core/stats.h"
 #include "core/store_shard.h"
 #include "core/types.h"
+#include "util/spin_lock.h"
 
 namespace lss {
 
@@ -39,11 +40,13 @@ using BackendFactory =
 /// shard — a shard's cleaner only ever selects victims among its own
 /// segments, so shards never contend on a victim or a free list.
 ///
-/// Locking. One mutex per shard serialises all operations routed to it;
-/// cross-shard state is limited to the shared lock-striped PageTable
-/// (whose stripe locks protect table growth) and read-side aggregation.
-/// With num_shards comfortably above the thread count, writers mostly
-/// land on distinct shards and proceed in parallel.
+/// Locking. One SpinLock per shard (test-and-test-and-set, yielding
+/// after a bounded spin) serialises all operations routed to it; a
+/// shard's Write is far shorter than a futex sleep/wake, so waiters spin
+/// rather than block. Cross-shard state is limited to the shared
+/// PageTable, whose lookups are lock-free and whose growth is a CAS, and
+/// read-side aggregation. With num_shards comfortably above the thread
+/// count, writers mostly land on distinct shards and proceed in parallel.
 ///
 /// Stats are aggregated on read: AggregatedStats() locks each shard in
 /// turn and merges its counters, so WriteAmplification() over the result
@@ -136,7 +139,7 @@ class ShardedStore {
   /// Runs `fn(shard)` under shard `i`'s lock.
   template <typename Fn>
   auto WithShardLocked(uint32_t i, Fn fn) const {
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
+    std::lock_guard<SpinLock> lock(shards_[i]->mu);
     return fn(*shards_[i]->shard);
   }
 
@@ -167,10 +170,10 @@ class ShardedStore {
   Status CheckInvariants() const;
 
  private:
-  // Each shard gets its own cache line so neighbouring mutexes do not
+  // Each shard gets its own cache line so neighbouring locks do not
   // false-share under contention.
   struct alignas(64) Shard {
-    mutable std::mutex mu;
+    mutable SpinLock mu;
     std::unique_ptr<StoreShard> shard;
   };
 

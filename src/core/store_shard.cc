@@ -144,6 +144,9 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
   if (bytes > config_.segment_bytes) {
     return Status::InvalidArgument("page larger than a segment");
   }
+  if (!PageTable::Addressable(page)) {
+    return Status::InvalidArgument("page id past the page table's capacity");
+  }
   assert(OwnsPage(page));
   ++unow_;
   ++stats_.user_updates;
@@ -218,7 +221,7 @@ Status StoreShard::Delete(PageId page) {
     return Status::NotFound("page not present");
   }
   assert(OwnsPage(page));
-  PageMeta& m = table_.GetMutable(page);
+  PageMeta& m = table_.Ensure(page);
   if (m.loc.InBuffer()) {
     BufferedWrite& w = buffer_.GetMutable(m.loc.index);
     // Tombstone the buffer slot; flush skips it. The buffered bytes stay
@@ -323,7 +326,8 @@ Status StoreShard::FlushUserBuffer() {
     }
   }
 
-  for (const BufferedWrite& w : batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const BufferedWrite& w = batch[i];
     if (w.page == kInvalidPage) continue;  // deleted while buffered
     double est = w.exact_upf;
     if (!oracle_ && !w.first_write) {
@@ -331,9 +335,26 @@ Status StoreShard::FlushUserBuffer() {
       const double interval = static_cast<double>(unow_) - w.up2;
       est = interval > 0 ? 2.0 / interval : 2.0;
     }
+    // PlacePage counts a user page right after appending it, so the
+    // counter tells whether a failure came before or after the append.
+    const uint64_t written_before = stats_.user_pages_written;
     Status s = PlacePage(w.page, w.bytes, w.up2, w.exact_upf, est,
                          /*is_gc=*/false, /*dead_on_arrival=*/w.superseded);
-    if (!s.ok()) return s;
+    if (s.ok()) continue;
+    // Put every write not yet placed back into the buffer and re-point
+    // its table slot there. A superseded copy is not what the table
+    // points at; its page's newer copy re-points it (requeued too, or
+    // already placed).
+    if (stats_.user_pages_written != written_before) ++i;
+    for (; i < batch.size(); ++i) {
+      const BufferedWrite& rest = batch[i];
+      if (rest.page == kInvalidPage) continue;
+      const uint32_t slot = buffer_.Add(rest);
+      if (!rest.superseded) {
+        table_.Ensure(rest.page).loc = PageLocation{kBufferSegment, slot};
+      }
+    }
+    return s;
   }
   return Status::OK();
 }
@@ -378,7 +399,7 @@ Status StoreShard::PlacePage(PageId page, uint32_t bytes, double up2,
     // resurrect it (the flush sort makes its seq order meaningless).
     seg->Kill(idx, exact_upf, /*dead_on_arrival=*/true);
   } else {
-    table_.GetMutable(page).loc = PageLocation{id, idx};
+    table_.Ensure(page).loc = PageLocation{id, idx};
   }
   if (is_gc) {
     ++stats_.gc_pages_written;
@@ -1247,6 +1268,9 @@ Status StoreShard::Recover() {
         seg.AppendDead(e.bytes, e.up2);
         continue;
       }
+      if (!PageTable::Addressable(e.page)) {
+        return Status::Corruption("recovery: page id out of range");
+      }
       if (!OwnsPage(e.page)) {
         return Status::Corruption(
             "recovery: segment holds a page this shard does not own "
@@ -1270,6 +1294,9 @@ Status StoreShard::Recover() {
   for (const BackendSegmentRecord& rec : log.rehomed) {
     for (const Segment::Entry& e : rec.entries) {
       if (e.page == kInvalidPage) continue;
+      if (!PageTable::Addressable(e.page)) {
+        return Status::Corruption("recovery: page id out of range");
+      }
       if (!OwnsPage(e.page)) {
         return Status::Corruption(
             "recovery: re-homing record holds a page this shard does "

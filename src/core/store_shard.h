@@ -35,15 +35,15 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 /// (§6.1.1). A LogStructuredStore is exactly one shard; a ShardedStore
 /// owns several and routes pages to them by hash.
 ///
-/// The page table is *shared*: each shard holds a reference to a
-/// lock-striped PageTable so that a dense global table serves all shards.
-/// A shard only ever touches metadata of pages it owns (PageShard), so
-/// per-page accesses need no further synchronisation beyond the table's
-/// stripe locks and the shard-level serialisation below.
+/// The page table is *shared*: each shard holds a reference to one dense
+/// PageTable that serves all shards. A shard only ever touches metadata
+/// of pages it owns (PageShard), so per-page accesses need no
+/// synchronisation beyond the shard-level serialisation below; the
+/// table's lookups are lock-free and its growth is safe from any shard.
 ///
 /// Concurrency contract: a StoreShard is NOT internally synchronised.
 /// All calls on one shard must be serialised by the caller (ShardedStore
-/// wraps every shard in its own mutex; LogStructuredStore is
+/// wraps every shard in its own SpinLock; LogStructuredStore is
 /// single-threaded by construction). The cleaning policy instance is
 /// owned by the shard, so policy state (e.g. multi-log's band maps) is
 /// confined to the shard and needs no locking of its own. With
@@ -215,6 +215,9 @@ class StoreShard {
   // slot) prior to rewriting it.
   void KillOldVersion(PageId page, const PageLocation& loc);
 
+  // Drains the write buffer into segments. On failure the writes not yet
+  // placed go back into the buffer, so every acknowledged write stays
+  // reachable and CheckInvariants holds.
   Status FlushUserBuffer();
 
   // Appends one page version to the open segment of the policy-chosen

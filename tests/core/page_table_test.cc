@@ -49,8 +49,8 @@ TEST(PageTableTest, CountPresent) {
   PageTable t;
   t.Ensure(10);
   EXPECT_EQ(t.CountPresent(), 0u);
-  t.GetMutable(3).loc = PageLocation{0, 0};
-  t.GetMutable(7).loc = PageLocation{kBufferSegment, 1};
+  t.Ensure(3).loc = PageLocation{0, 0};
+  t.Ensure(7).loc = PageLocation{kBufferSegment, 1};
   EXPECT_EQ(t.CountPresent(), 2u);
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,7 +167,7 @@ TEST(ShardedStoreTest, ParallelRunnerOneThreadMatchesRunSynthetic) {
 // Concurrency stress: many threads hammer a sharded store with writes,
 // deletes and flushes, then every shard must pass its full invariant
 // cross-check. Run under TSan (scripts/check.sh --tsan) this doubles as
-// the data-race detector for the striped page table and shard locking.
+// the data-race detector for the shared page table and shard locking.
 TEST(ShardedStoreTest, MultiThreadedStressKeepsInvariants) {
   StoreConfig cfg = SmallConfig();
   cfg.num_segments = 512;
@@ -219,37 +220,173 @@ TEST(ShardedStoreTest, MultiThreadedStressKeepsInvariants) {
   }
 }
 
-// Concurrent growth of the shared striped page table from many threads:
-// disjoint page ranges ensured in parallel must all be present and hold
-// their values afterwards.
+// Concurrent growth of the shared page table: thread t owns ids t, t+8,
+// t+16, ..., so every chunk is grown by a race among all eight threads.
+// Each thread keeps the reference Ensure returned for every id and, while
+// the others keep growing the table, re-reads its earlier ids through the
+// lock-free Get; afterwards every kept reference must still be the slot
+// the table returns and hold what its thread wrote (growth never moves a
+// slot).
 TEST(PageTableConcurrencyTest, ParallelEnsureAndReadback) {
   PageTable table;
   constexpr uint32_t kThreads = 8;
-  constexpr PageId kPerThread = 20000;
+  constexpr PageId kPerThread = 5000;  // ~10 chunks across all threads
+  std::vector<std::vector<PageMeta*>> refs(kThreads);
+  std::atomic<bool> mismatch{false};
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (uint32_t t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&table, t] {
+    pool.emplace_back([&, t] {
+      std::vector<PageMeta*>& mine = refs[t];
+      mine.reserve(kPerThread);
       for (PageId i = 0; i < kPerThread; ++i) {
-        const PageId p = t * kPerThread + i;
+        const PageId p = i * kThreads + t;
         PageMeta& m = table.Ensure(p);
         m.loc = PageLocation{static_cast<SegmentId>(t), 0};
         m.bytes = 512 + t;
         m.last_update = p + 1;
+        mine.push_back(&m);
+        // An earlier id of this thread, read while others grow the table.
+        const PageId back = (i / 2) * kThreads + t;
+        if (&table.Get(back) != mine[i / 2] ||
+            table.Get(back).last_update != back + 1) {
+          mismatch.store(true);
+        }
       }
     });
   }
   for (std::thread& th : pool) th.join();
+  EXPECT_FALSE(mismatch.load());
 
   EXPECT_EQ(table.Size(), kThreads * kPerThread);
   EXPECT_EQ(table.CountPresent(), kThreads * kPerThread);
   for (uint32_t t = 0; t < kThreads; ++t) {
-    for (PageId i = 0; i < kPerThread; i += 997) {
-      const PageId p = t * kPerThread + i;
-      ASSERT_TRUE(table.Present(p));
-      EXPECT_EQ(table.Get(p).loc.segment, t);
-      EXPECT_EQ(table.Get(p).bytes, 512 + t);
-      EXPECT_EQ(table.Get(p).last_update, p + 1);
+    for (PageId i = 0; i < kPerThread; ++i) {
+      const PageId p = i * kThreads + t;
+      ASSERT_EQ(&table.Get(p), refs[t][i]) << "page " << p << " moved";
+      ASSERT_EQ(refs[t][i]->loc.segment, t);
+      ASSERT_EQ(refs[t][i]->bytes, 512 + t);
+      ASSERT_EQ(refs[t][i]->last_update, p + 1);
+    }
+  }
+}
+
+// Ids past the directory cap read as absent and a store write to one is
+// rejected before it touches any state; the last addressable id works.
+TEST(PageTableConcurrencyTest, RejectsIdsPastTheDirectoryCap) {
+  constexpr PageId kCap = PageTable::kMaxPages;
+  EXPECT_TRUE(PageTable::Addressable(kCap - 1));
+  EXPECT_FALSE(PageTable::Addressable(kCap));
+  EXPECT_FALSE(PageTable::Addressable(kInvalidPage));
+
+  PageTable table;
+  EXPECT_FALSE(table.Present(kCap));
+  EXPECT_FALSE(table.Present(kInvalidPage));
+  table.Ensure(kCap - 1).bytes = 7;
+  EXPECT_EQ(table.Get(kCap - 1).bytes, 7u);
+  EXPECT_EQ(table.Size(), kCap);
+
+  Status st;
+  auto store = ShardedStore::Create(SmallConfig(), 4,
+                                    FactoryFor(Variant::kGreedy), &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+  for (PageId p : {kCap, kCap + 1, kInvalidPage - 1}) {
+    EXPECT_EQ(store->Write(p).code(), Status::Code::kInvalidArgument) << p;
+    EXPECT_FALSE(store->Contains(p)) << p;
+    EXPECT_EQ(store->Delete(p).code(), Status::Code::kNotFound) << p;
+  }
+  EXPECT_EQ(store->page_table().Size(), 0u);
+  EXPECT_EQ(store->AggregatedStats().user_updates, 0u);
+  // The rejection is not sticky: the store still takes ordinary writes.
+  ASSERT_TRUE(store->Write(3).ok());
+  EXPECT_TRUE(store->Contains(3));
+  EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
+// More client threads than cores, every one doing mixed Write / Delete /
+// Contains on four shards, so shard-lock waiters spin out and yield
+// while the holder is descheduled (the TSan gate runs this too). Thread t
+// owns the interleaved pages t, t+8, ..., which makes it the only writer
+// of its pages: it knows their exact state, checks every Contains
+// against it, and the per-thread models sum to the exact live count.
+TEST(ShardedStoreTest, OversubscribedMixedOpsKeepExactLiveCount) {
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 512;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 4, FactoryFor(Variant::kMdc), &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+
+  constexpr uint32_t kThreads = 8;
+  constexpr PageId kPagesPerThread = 500;
+  constexpr int kOpsPerThread = 20000;
+  std::vector<size_t> live(kThreads, 0);
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<bool> present(kPagesPerThread, false);
+      Rng rng(500 + t);
+      for (int i = 0; i < kOpsPerThread && !failed.load(); ++i) {
+        const PageId slot = rng.NextBounded(kPagesPerThread);
+        const PageId p = slot * kThreads + t;
+        const uint64_t dice = rng.NextBounded(100);
+        if (dice < 60) {
+          if (!store->Write(p).ok()) failed.store(true);
+          present[slot] = true;
+        } else if (dice < 80) {
+          const Status s = store->Delete(p);
+          const auto want =
+              present[slot] ? Status::Code::kOk : Status::Code::kNotFound;
+          if (s.code() != want) failed.store(true);
+          present[slot] = false;
+        } else if (store->Contains(p) != present[slot]) {
+          failed.store(true);
+        }
+      }
+      for (bool b : present) live[t] += b ? 1 : 0;
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  ASSERT_FALSE(failed.load()) << "an op failed or disagreed with the model";
+
+  size_t expected = 0;
+  for (size_t n : live) expected += n;
+  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_EQ(store->LivePageCount(), expected);
+  EXPECT_EQ(store->page_table().CountPresent(), expected);
+}
+
+// A flush that runs out of space must not lose the writes it had not
+// placed yet: they go back into the write buffer, the table keeps
+// pointing at them, and the store stays consistent. Sequential writes
+// fill the device until the first failure; every write acknowledged
+// before it must still be present.
+TEST(ShardedStoreTest, FailedFlushKeepsAcknowledgedWrites) {
+  for (const Variant v : {Variant::kGreedy, Variant::kMdc}) {
+    for (const uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(VariantName(v) + ", " + std::to_string(shards) + " shards");
+      StoreConfig cfg;
+      ApplyVariantConfig(v, &cfg);
+      cfg.segment_bytes = 64 * 1024;
+      cfg.num_segments = 64 * shards;
+      cfg.write_buffer_segments = 4;
+      Status st;
+      auto store = ShardedStore::Create(cfg, shards, FactoryFor(v), &st);
+      ASSERT_NE(store, nullptr) << st.ToString();
+      PageId acked = 0;
+      Status s;
+      while (acked < 100000 && (s = store->Write(acked)).ok()) ++acked;
+      ASSERT_EQ(s.code(), Status::Code::kOutOfSpace);
+
+      const Status inv = store->CheckInvariants();
+      EXPECT_TRUE(inv.ok()) << inv.ToString();
+      for (PageId p = 0; p < acked; ++p) {
+        ASSERT_TRUE(store->Contains(p)) << "page " << p;
+      }
+      // The failed write itself may or may not have landed, nothing else.
+      EXPECT_GE(store->LivePageCount(), acked);
+      EXPECT_LE(store->LivePageCount(), acked + 1);
     }
   }
 }
