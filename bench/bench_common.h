@@ -45,6 +45,14 @@ inline int64_t EnvInt(const char* name, int64_t def, int64_t min,
   return ParseEnvInt(name, s, min, max);
 }
 
+/// LSS_BENCH_SMOKE set to anything but "" or "0" asks a bench for its
+/// CI-sized run: each bench that has one shrinks its own sweep (fewer
+/// panels, fill factors or transactions).
+inline bool SmokeMode() {
+  const char* env = std::getenv("LSS_BENCH_SMOKE");
+  return env != nullptr && *env != '\0' && *env != '0';
+}
+
 /// Shared device geometry for the paper-reproduction benches. The paper
 /// simulates a 100 GB device (51 200 x 2 MB segments) and writes 10 TB;
 /// it notes device size does not affect write amplification (§6.1.1

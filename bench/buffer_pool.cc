@@ -45,11 +45,6 @@ const EvictionPolicyKind kPolicies[] = {
     EvictionPolicyKind::kTwoQ,
 };
 
-bool SmokeMode() {
-  const char* env = std::getenv("LSS_BENCH_SMOKE");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
 struct Counters {
   uint64_t hits, misses, evictions, latches;
   static Counters Of(const BufferPool& pool) {
@@ -261,7 +256,7 @@ void ScanFloodPanel(bool smoke) {
 }  // namespace lss
 
 int main() {
-  const bool smoke = lss::SmokeMode();
+  const bool smoke = lss::bench::SmokeMode();
   std::printf("Buffer-pool eviction policies: exact LRU vs CLOCK vs 2Q%s\n\n",
               smoke ? " (smoke)" : "");
   lss::HitPathPanel(smoke);

@@ -10,6 +10,11 @@
 //      literal (1-E)age/E priority (see bench/ablation_costbenefit).
 //  (b)/(c) skewed: age worst, then greedy, cost-benefit, multi-log,
 //      multi-log-opt, MDC, with MDC-opt lowest.
+//
+// Environment:
+//   LSS_BENCH_SCALE=N     multiply device size / run length (default 1)
+//   LSS_BENCH_SMOKE=1     one fill factor (0.8) per panel, for CI
+//   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <cstdio>
 #include <functional>
@@ -66,7 +71,9 @@ void Panel(const char* name,
 }
 
 void Run() {
-  const std::vector<double> fills = {0.5, 0.6, 0.7, 0.8, 0.9, 0.95};
+  const std::vector<double> fills =
+      bench::SmokeMode() ? std::vector<double>{0.8}
+                         : std::vector<double>{0.5, 0.6, 0.7, 0.8, 0.9, 0.95};
   Panel("(a) uniform",
         [](uint64_t pages) -> std::unique_ptr<WorkloadGenerator> {
           return std::make_unique<UniformWorkload>(pages);

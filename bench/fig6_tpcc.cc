@@ -53,11 +53,6 @@ uint32_t BenchThreads() {
       bench::ParseEnvInt("LSS_BENCH_THREADS", first.c_str(), 1, 4096));
 }
 
-bool SmokeMode() {
-  const char* env = std::getenv("LSS_BENCH_SMOKE");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
 // Trace generation dominates this bench's runtime, so the generated
 // trace is cached in the system temp directory, keyed by every parameter
 // that shapes it — including the worker-thread count (parallel
@@ -230,7 +225,7 @@ void Run() {
   // N-way parallelism, which is what makes paper-scale runs tractable.
   const uint32_t scale = bench::ScaleFactor();
   const uint32_t threads = BenchThreads();
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   // Generation workers and replay shards both default to `threads`, but
   // the smoke database is too small to carve into many replay shards
   // (per-shard cleaner geometry would be invalid), so smoke caps the

@@ -20,6 +20,10 @@
 //                         directory under $TMPDIR, removed afterwards)
 //   LSS_BENCH_URING_DEPTH=N  io_uring queue depth for the uring rows
 //                         (default: StoreConfig::uring_queue_depth)
+//   LSS_BENCH_SMOKE=1     skip the long panels and run only the
+//                         checkpoint sweep at its shortest interval on a
+//                         small device, the CI gate for the
+//                         full-vs-delta persistence path
 //
 // The uring rows run the io_uring-overlapped backend
 // (core/uring_backend.h). Where the kernel or a seccomp filter
@@ -49,14 +53,6 @@
 
 namespace lss {
 namespace {
-
-// LSS_BENCH_SMOKE=1 skips the long panels and runs only the checkpoint
-// sweep at its shortest interval on a small device — the CI gate for
-// the full-vs-delta persistence path (seconds, not minutes).
-bool SmokeMode() {
-  const char* env = std::getenv("LSS_BENCH_SMOKE");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
 
 struct TempDir {
   std::string path;
@@ -353,7 +349,7 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
 // well under a percent (file-nosync, so byte accounting is exact while
 // the sweep stays fast).
 void CheckpointSweepPanel(double fill, const std::string& dir) {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   // The sweep needs exact byte accounting, so it runs nosync — but it
   // honours a uring LSS_BENCH_BACKEND (the --uring CI smoke): the
   // ring-overlapped path must reproduce the same exact bytes, which the
@@ -478,7 +474,7 @@ void Run() {
     std::exit(1);
   }
   const double fill = 0.8;
-  if (!SmokeMode()) {
+  if (!bench::SmokeMode()) {
     const StoreConfig probe = IoConfig("null");
     UniformWorkload uniform(bench::UserPagesFor(probe, fill));
     Panel("(a) uniform", uniform, fill, dir.path);

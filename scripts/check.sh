@@ -233,18 +233,28 @@ if [[ -x "$BUILD_DIR/bench/micro_btree" ]]; then
 fi
 
 # Concurrent store smoke: the thread-scaling sweep at 1 and 4 client
-# threads over a 4-shard ShardedStore — runs the shared page table and
-# the shard locks under real contention in a bench. Both thread counts
-# must emit a row.
+# threads over a 4-shard ShardedStore — runs the shared page table, the
+# shard locks and the per-shard write inboxes under real contention in a
+# bench. Both thread counts must emit a row, and the 4-thread Wamp must
+# be within 5% of the 1-thread Wamp: a deferral bug that drops or
+# reorders writes shows up there without relying on timing.
 if [[ -x "$BUILD_DIR/bench/scale_threads" ]]; then
   LSS_BENCH_THREADS=1,4 \
     LSS_BENCH_JSON="$BUILD_DIR/scale_threads_smoke.json" \
     "$BUILD_DIR/bench/scale_threads"
-  grep -q '"bench":"scale_threads","threads":1,' \
-    "$BUILD_DIR/scale_threads_smoke.json"
-  grep -q '"bench":"scale_threads","threads":4,' \
-    "$BUILD_DIR/scale_threads_smoke.json"
-  echo "check.sh: scale_threads smoke green"
+  scale_wamp() {
+    sed -n "s/.*\"bench\":\"scale_threads\",\"threads\":$1,.*\"wamp\":\([0-9.eE+-]*\),.*/\1/p" \
+      "$BUILD_DIR/scale_threads_smoke.json"
+  }
+  wamp1="$(scale_wamp 1)"
+  wamp4="$(scale_wamp 4)"
+  if ! awk -v a="$wamp1" -v b="$wamp4" \
+      'BEGIN { exit !(a > 0 && b > 0 && b <= 1.05 * a && b >= 0.95 * a) }'; then
+    echo "check.sh: scale_threads Wamp at 4 threads ($wamp4) is not within" \
+      "5% of 1 thread ($wamp1)" >&2
+    exit 1
+  fi
+  echo "check.sh: scale_threads smoke green (Wamp $wamp1 / $wamp4)"
 fi
 
 echo "check.sh: all green"

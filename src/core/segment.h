@@ -107,7 +107,9 @@ class Segment {
   void Seal(UpdateCount now);
 
   /// Transitions kSealed (or kOpen, when resetting) -> kFree and drops all
-  /// entries.
+  /// entries. The entry vector keeps its capacity: a slot is refilled to
+  /// about the same entry count every time it is reused, so releasing the
+  /// storage would only make the next fill regrow it.
   void Reset();
 
   // --- Accessors -----------------------------------------------------

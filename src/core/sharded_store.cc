@@ -1,6 +1,76 @@
 #include "core/sharded_store.h"
 
+#include <thread>
+
 namespace lss {
+
+ShardedStore::WriteInbox::WriteInbox() {
+  for (uint32_t i = 0; i < kCapacity; ++i) {
+    cells_[i].seq.store(i, std::memory_order_relaxed);
+  }
+}
+
+bool ShardedStore::WriteInbox::TryPush(PageId page, uint32_t bytes) {
+  uint64_t pos = tail_.load(std::memory_order_relaxed);
+  for (;;) {
+    Cell& cell = cells_[pos & (kCapacity - 1)];
+    const uint64_t seq = cell.seq.load(std::memory_order_acquire);
+    const int64_t lag = static_cast<int64_t>(seq - pos);
+    if (lag == 0) {
+      if (tail_.compare_exchange_weak(pos, pos + 1,
+                                      std::memory_order_relaxed)) {
+        cell.page = page;
+        cell.bytes = bytes;
+        cell.seq.store(pos + 1, std::memory_order_release);
+        return true;
+      }
+    } else if (lag < 0) {
+      return false;  // the cell still holds the write pushed a lap ago
+    } else {
+      pos = tail_.load(std::memory_order_relaxed);
+    }
+  }
+}
+
+template <typename Fn>
+void ShardedStore::WriteInbox::Drain(Fn apply) {
+  // Stop at the tail seen now: writes pushed meanwhile are left to the
+  // next lock holder, which bounds the work one call does on others'
+  // behalf.
+  const uint64_t end = tail_.load(std::memory_order_relaxed);
+  for (; head_ != end; ++head_) {
+    Cell& cell = cells_[head_ & (kCapacity - 1)];
+    // A producer that claimed this position may not have filled it yet;
+    // it is a few stores away from doing so.
+    while (cell.seq.load(std::memory_order_acquire) != head_ + 1) {
+      std::this_thread::yield();
+    }
+    const PageId page = cell.page;
+    const uint32_t bytes = cell.bytes;
+    cell.seq.store(head_ + kCapacity, std::memory_order_release);
+    apply(page, bytes);
+  }
+}
+
+void ShardedStore::DrainInbox(Shard& s) {
+  s.inbox.Drain([&s](PageId page, uint32_t bytes) {
+    // The arguments were checked when the write was deferred, so a
+    // failure here is the shard's sticky error or its closing.
+    const Status st = s.shard->Write(page, bytes);
+    NoteFailure(s, st);
+  });
+}
+
+Status ShardedStore::CheckWriteArgs(PageId page, uint32_t bytes) const {
+  if (bytes == 0) bytes = shard_config_.page_bytes;
+  if (bytes > shard_config_.segment_bytes) {
+    return Status::InvalidArgument("page larger than a segment");
+  }
+  if (!PageTable::Addressable(page)) {
+    return Status::InvalidArgument("page id past the page table's capacity");
+  }
+  return Status::OK();
+}
 
 std::unique_ptr<ShardedStore> ShardedStore::Create(
     const StoreConfig& config, uint32_t num_shards,
@@ -25,8 +95,9 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
 Status ShardedStore::Close() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    Status st = s->shard->Close();
+    LockedShard locked(*s);
+    s->poisoned.store(true, std::memory_order_relaxed);
+    Status st = locked->Close();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
@@ -89,21 +160,46 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
 void ShardedStore::SetExactFrequencyOracle(const ExactFrequencyFn& oracle) {
   for (auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    s->shard->SetExactFrequencyOracle(oracle);
+    LockedShard locked(*s);
+    locked->SetExactFrequencyOracle(oracle);
   }
 }
 
 Status ShardedStore::Write(PageId page, uint32_t bytes) {
   Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<SpinLock> lock(s.mu);
-  return s.shard->Write(page, bytes);
+  if (!s.mu.try_lock()) return WriteContended(s, page, bytes);
+  return WriteLocked(s, page, bytes);
+}
+
+Status ShardedStore::WriteLocked(Shard& s, PageId page, uint32_t bytes) {
+  LockedShard locked(s, std::adopt_lock);
+  Status st = locked->Write(page, bytes);
+  // An argument error is this call's alone; any other failure is sticky.
+  if (!st.ok() && CheckWriteArgs(page, bytes).ok()) NoteFailure(s, st);
+  return st;
+}
+
+Status ShardedStore::WriteContended(Shard& s, PageId page, uint32_t bytes) {
+  // The holder may be mid-flush for milliseconds: leave the write in the
+  // inbox rather than wait. The next operation on the shard applies it;
+  // a second try_lock here to apply it at once measured slower.
+  if (!s.poisoned.load(std::memory_order_relaxed)) {
+    Status st = CheckWriteArgs(page, bytes);
+    if (!st.ok()) return st;
+    if (s.inbox.TryPush(page, bytes)) return Status::OK();
+  }
+  // Full inbox (backpressure) or a failed shard, whose error this call
+  // must return: wait for the lock.
+  s.mu.lock();
+  return WriteLocked(s, page, bytes);
 }
 
 Status ShardedStore::Delete(PageId page) {
   Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<SpinLock> lock(s.mu);
-  return s.shard->Delete(page);
+  LockedShard locked(s);
+  Status st = locked->Delete(page);
+  if (st.code() != Status::Code::kNotFound) NoteFailure(s, st);
+  return st;
 }
 
 Status ShardedStore::Flush() {
@@ -111,8 +207,9 @@ Status ShardedStore::Flush() {
   // drain their buffers; report the first error.
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    Status st = s->shard->Flush();
+    LockedShard locked(*s);
+    Status st = locked->Flush();
+    NoteFailure(*s, st);
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
@@ -121,46 +218,44 @@ Status ShardedStore::Flush() {
 Status ShardedStore::Checkpoint() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    Status st = s->shard->Checkpoint();
+    LockedShard locked(*s);
+    Status st = locked->Checkpoint();
+    NoteFailure(*s, st);
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
 }
 
 Status ShardedStore::ReadPage(PageId page, std::vector<uint8_t>* out) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<SpinLock> lock(s.mu);
-  return s.shard->ReadPage(page, out);
+  LockedShard locked(*shards_[ShardOf(page)]);
+  return locked->ReadPage(page, out);
 }
 
 bool ShardedStore::Contains(PageId page) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<SpinLock> lock(s.mu);
-  return s.shard->Contains(page);
+  LockedShard locked(*shards_[ShardOf(page)]);
+  return locked->Contains(page);
 }
 
 uint32_t ShardedStore::PageSize(PageId page) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<SpinLock> lock(s.mu);
-  return s.shard->PageSize(page);
+  LockedShard locked(*shards_[ShardOf(page)]);
+  return locked->PageSize(page);
 }
 
 StoreStats ShardedStore::AggregatedStats() const {
   StoreStats total;
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
+    LockedShard locked(*s);
     // Snapshot, not stats(): async mode keeps device and group-fsync
     // counters on the shard's I/O thread.
-    total.Merge(s->shard->StatsSnapshot());
+    total.Merge(locked->StatsSnapshot());
   }
   return total;
 }
 
 void ShardedStore::ResetMeasurement() {
   for (auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    s->shard->ResetMeasurement();
+    LockedShard locked(*s);
+    locked->ResetMeasurement();
   }
 }
 
@@ -168,8 +263,8 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
   std::vector<double> wamp;
   wamp.reserve(shards_.size());
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    wamp.push_back(s->shard->stats().WriteAmplification());
+    LockedShard locked(*s);
+    wamp.push_back(locked->stats().WriteAmplification());
   }
   return wamp;
 }
@@ -177,8 +272,8 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
 double ShardedStore::CurrentFillFactor() const {
   double fill_sum = 0.0;
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    fill_sum += s->shard->CurrentFillFactor();
+    LockedShard locked(*s);
+    fill_sum += locked->CurrentFillFactor();
   }
   // Shards have identical device sizes, so the aggregate fill is the mean.
   return shards_.empty() ? 0.0 : fill_sum / static_cast<double>(shards_.size());
@@ -187,16 +282,16 @@ double ShardedStore::CurrentFillFactor() const {
 size_t ShardedStore::LivePageCount() const {
   size_t n = 0;
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    n += s->shard->LivePageCount();
+    LockedShard locked(*s);
+    n += locked->LivePageCount();
   }
   return n;
 }
 
 Status ShardedStore::CheckInvariants() const {
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> lock(s->mu);
-    Status st = s->shard->CheckInvariants();
+    LockedShard locked(*s);
+    Status st = locked->CheckInvariants();
     if (!st.ok()) return st;
   }
   return Status::OK();

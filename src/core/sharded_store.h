@@ -1,6 +1,7 @@
 #ifndef LSS_CORE_SHARDED_STORE_H_
 #define LSS_CORE_SHARDED_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,12 +42,20 @@ using BackendFactory =
 /// segments, so shards never contend on a victim or a free list.
 ///
 /// Locking. One SpinLock per shard (test-and-test-and-set, yielding
-/// after a bounded spin) serialises all operations routed to it; a
-/// shard's Write is far shorter than a futex sleep/wake, so waiters spin
-/// rather than block. Cross-shard state is limited to the shared
-/// PageTable, whose lookups are lock-free and whose growth is a CAS, and
-/// read-side aggregation. With num_shards comfortably above the thread
-/// count, writers mostly land on distinct shards and proceed in parallel.
+/// after a bounded spin) serialises all operations routed to it. Most
+/// shard Writes are far shorter than a futex sleep/wake, but the one
+/// that fills the write buffer flushes it and runs the cleaning it
+/// triggers, about 2 ms on the default geometry. So Write never waits
+/// for another client's operation: each shard has a bounded FIFO inbox
+/// of deferred writes, and a Write that finds the lock taken pushes
+/// itself there and returns (flat combining: whoever takes the lock
+/// next applies what others queued). Every locked entry point, Write's
+/// own included, first drains the inbox in FIFO order, so a deferred write
+/// is visible to every later observation through this API, and
+/// per-thread program order is kept. Only Write is deferred; a full
+/// inbox or a failed shard makes Write wait for the lock instead.
+/// Cross-shard state is limited to the shared PageTable, whose lookups
+/// are lock-free and whose growth is a CAS, and read-side aggregation.
 ///
 /// Stats are aggregated on read: AggregatedStats() locks each shard in
 /// turn and merges its counters, so WriteAmplification() over the result
@@ -84,6 +93,8 @@ class ShardedStore {
   /// Also runs at destruction, where the result is ignored.
   Status Close();
 
+  ~ShardedStore() { Close(); }
+
   ShardedStore(const ShardedStore&) = delete;
   ShardedStore& operator=(const ShardedStore&) = delete;
 
@@ -93,7 +104,16 @@ class ShardedStore {
   /// are — all workload generators qualify).
   void SetExactFrequencyOracle(const ExactFrequencyFn& oracle);
 
-  /// Routes to the owning shard and writes under its lock.
+  /// Routes to the owning shard and writes under its lock, or, when
+  /// another thread holds that lock, defers the write to the shard's
+  /// inbox. A deferred Write checks up front what the shard could reject
+  /// for this call alone (page size, addressable id) and returns OK once
+  /// the write is accepted into the shard's FIFO; the next operation on
+  /// the shard applies it. A shard failure hit while
+  /// applying it (a sticky error such as a failed seal) is returned by
+  /// the next operation on that shard, like the async seal pipeline's
+  /// late errors, and from then on every Write to the shard waits for
+  /// the lock and returns its own status.
   Status Write(PageId page, uint32_t bytes = 0);
 
   /// Routes to the owning shard and deletes under its lock.
@@ -130,17 +150,24 @@ class ShardedStore {
     return PageShard(page, num_shards());
   }
 
-  /// Direct shard access. Not synchronised: use only while no other
-  /// thread is operating on the store (tests and post-run inspection), or
-  /// take the corresponding shard lock via WithShardLocked.
-  StoreShard& shard(uint32_t i) { return *shards_[i]->shard; }
-  const StoreShard& shard(uint32_t i) const { return *shards_[i]->shard; }
+  /// Direct shard access. Applies the shard's deferred writes first, but
+  /// the returned reference is not synchronised: use it only while no
+  /// other thread is operating on the store (tests and post-run
+  /// inspection), or take the shard lock via WithShardLocked.
+  StoreShard& shard(uint32_t i) {
+    { LockedShard drained(*shards_[i]); }
+    return *shards_[i]->shard;
+  }
+  const StoreShard& shard(uint32_t i) const {
+    { LockedShard drained(*shards_[i]); }
+    return *shards_[i]->shard;
+  }
 
-  /// Runs `fn(shard)` under shard `i`'s lock.
+  /// Runs `fn(shard)` under shard `i`'s lock, after its deferred writes.
   template <typename Fn>
   auto WithShardLocked(uint32_t i, Fn fn) const {
-    std::lock_guard<SpinLock> lock(shards_[i]->mu);
-    return fn(*shards_[i]->shard);
+    LockedShard locked(*shards_[i]);
+    return fn(*locked);
   }
 
   /// The geometry each shard runs with (num_segments already divided).
@@ -170,14 +197,98 @@ class ShardedStore {
   Status CheckInvariants() const;
 
  private:
-  // Each shard gets its own cache line so neighbouring locks do not
-  // false-share under contention.
+  // A bounded multi-producer FIFO of deferred writes: Vyukov's bounded
+  // queue, where each cell's sequence number says whether the cell is
+  // free for the producer at position `pos` (seq == pos) or holds that
+  // producer's write for the consumer (seq == pos + 1). Any thread may
+  // push; only the shard's lock holder pops, so the consumer position is
+  // a plain field guarded by the lock.
+  class WriteInbox {
+   public:
+    // Covers one ~2 ms buffer flush at three other clients' arrival rate.
+    static constexpr uint32_t kCapacity = 4096;
+
+    WriteInbox();
+
+    // False when the inbox is full.
+    bool TryPush(PageId page, uint32_t bytes);
+
+    // Lock holder only: whether anything was pushed since the last
+    // Drain. One relaxed load; a write its own thread pushed is always
+    // seen.
+    bool Pending() const {
+      return tail_.load(std::memory_order_relaxed) != head_;
+    }
+
+    // Lock holder only: passes every write pushed before the call to
+    // `apply(page, bytes)`, oldest first.
+    template <typename Fn>
+    void Drain(Fn apply);
+
+   private:
+    struct Cell {
+      std::atomic<uint64_t> seq;
+      PageId page;
+      uint32_t bytes;
+    };
+    static_assert((kCapacity & (kCapacity - 1)) == 0, "power of two");
+
+    std::atomic<uint64_t> tail_{0};  // next position to claim
+    uint64_t head_ = 0;              // next position to pop
+    Cell cells_[kCapacity];
+  };
+
+  // Each shard starts on its own cache line so neighbouring locks do not
+  // false-share under contention. The lock, the failure flag, the shard
+  // pointer and the inbox positions share that first line, so an
+  // uncontended Write on a cold shard fetches one line, not two.
   struct alignas(64) Shard {
-    mutable SpinLock mu;
+    SpinLock mu;
+    // Set under `mu` once the shard failed with a sticky error or was
+    // closed; Write then stops deferring so callers see the error.
+    std::atomic<bool> poisoned{false};
     std::unique_ptr<StoreShard> shard;
+    WriteInbox inbox;
+  };
+
+  // Holds a shard's lock with its inbox drained. Every entry point locks
+  // through this, so a deferred write is applied before anything else
+  // observes or changes the shard, and unlock stays a plain release.
+  class LockedShard {
+   public:
+    explicit LockedShard(Shard& s) : s_(s), lock_(s.mu) {
+      if (s_.inbox.Pending()) DrainInbox(s_);
+    }
+    LockedShard(Shard& s, std::adopt_lock_t)
+        : s_(s), lock_(s.mu, std::adopt_lock) {
+      if (s_.inbox.Pending()) DrainInbox(s_);
+    }
+    StoreShard* operator->() const { return s_.shard.get(); }
+    StoreShard& operator*() const { return *s_.shard; }
+
+   private:
+    Shard& s_;
+    std::unique_lock<SpinLock> lock_;
   };
 
   ShardedStore() = default;
+
+  // Applies shard `s`'s deferred writes. Requires `s.mu` held.
+  static void DrainInbox(Shard& s);
+
+  // Marks `s` failed when `st` is an error (see Shard::poisoned).
+  static void NoteFailure(Shard& s, const Status& st) {
+    if (!st.ok()) s.poisoned.store(true, std::memory_order_relaxed);
+  }
+
+  // Write's two halves: applying it with `s.mu` held (adopted and
+  // released here), and the path taken when the lock was busy.
+  Status WriteLocked(Shard& s, PageId page, uint32_t bytes);
+  Status WriteContended(Shard& s, PageId page, uint32_t bytes);
+
+  // What StoreShard::Write rejects for this call alone, independent of
+  // shard state; checked before a write is deferred.
+  Status CheckWriteArgs(PageId page, uint32_t bytes) const;
 
   // Shared construction for Create (fresh device) and Open (recovery).
   static std::unique_ptr<ShardedStore> Build(

@@ -13,7 +13,8 @@ namespace lss {
 /// releases it, with a CPU pause hint per probe. After kSpinsBeforeYield
 /// probes a waiter yields its core on every further probe, so a holder
 /// that was descheduled (more threads than cores) still gets to run.
-/// Meets the BasicLockable requirements, so std::lock_guard works.
+/// Meets the Lockable requirements, so std::lock_guard and
+/// std::unique_lock (including std::try_to_lock) work.
 class SpinLock {
  public:
   static constexpr uint32_t kSpinsBeforeYield = 128;
@@ -29,6 +30,9 @@ class SpinLock {
       }
     }
   }
+
+  /// One acquire attempt, never waits.
+  bool try_lock() { return !locked_.exchange(true, std::memory_order_acquire); }
 
   void unlock() { locked_.store(false, std::memory_order_release); }
 

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/io_backend.h"
 #include "core/policy_factory.h"
 #include "core/store.h"
 #include "util/rng.h"
+#include "util/spin_lock.h"
 #include "workload/runner.h"
 
 namespace lss {
@@ -355,6 +357,144 @@ TEST(ShardedStoreTest, OversubscribedMixedOpsKeepExactLiveCount) {
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), expected);
   EXPECT_EQ(store->page_table().CountPresent(), expected);
+}
+
+// try_lock takes a free lock, never waits on a held one, and excludes
+// like lock(): threads that enter only through try_lock keep a plain
+// counter exact (and race-free under TSan).
+TEST(ShardedStoreTest, SpinLockTryLockNeverWaits) {
+  SpinLock mu;
+  ASSERT_TRUE(mu.try_lock());
+  EXPECT_FALSE(mu.try_lock());
+  mu.unlock();
+  {
+    std::unique_lock<SpinLock> held(mu, std::try_to_lock);
+    EXPECT_TRUE(held.owns_lock());
+    std::thread other([&] { EXPECT_FALSE(mu.try_lock()); });
+    other.join();
+  }
+  EXPECT_TRUE(mu.try_lock());
+  mu.unlock();
+
+  constexpr int kThreads = 4;
+  constexpr int kEntries = 20000;
+  uint64_t counter = 0;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      for (int i = 0; i < kEntries; ++i) {
+        while (!mu.try_lock()) std::this_thread::yield();
+        ++counter;
+        mu.unlock();
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(counter, static_cast<uint64_t>(kThreads) * kEntries);
+}
+
+// More writers than cores on four shards with a small write buffer, so
+// writers often find a shard locked by a flush and defer into its
+// inbox. Joining the threads and reading the counters, with no other
+// store call in between, must show every write applied exactly once.
+TEST(ShardedStoreTest, DeferredWritesAreNeverLost) {
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 512;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 4, FactoryFor(Variant::kMdc), &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+
+  constexpr uint32_t kThreads = 8;
+  constexpr PageId kPages = 5000;
+  constexpr int kWritesPerThread = 25000;
+  std::vector<std::vector<bool>> written(kThreads,
+                                         std::vector<bool>(kPages, false));
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Rng rng(900 + t);
+      for (int i = 0; i < kWritesPerThread; ++i) {
+        const PageId p = rng.NextBounded(kPages);
+        if (!store->Write(p).ok()) failed.store(true);
+        written[t][p] = true;
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  const uint64_t issued = uint64_t{kThreads} * kWritesPerThread;
+  uint64_t sum = 0;
+  for (uint32_t i = 0; i < store->num_shards(); ++i) {
+    sum += store->shard(i).stats().user_updates;
+  }
+  EXPECT_EQ(sum, issued);
+  EXPECT_EQ(store->AggregatedStats().user_updates, issued);
+  ASSERT_FALSE(failed.load()) << "a write failed";
+
+  size_t distinct = 0;
+  for (PageId p = 0; p < kPages; ++p) {
+    bool any = false;
+    for (const auto& w : written) any = any || w[p];
+    distinct += any ? 1 : 0;
+  }
+  EXPECT_EQ(store->LivePageCount(), distinct);
+  const Status inv = store->CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+}
+
+// A seal failure on one shard while four threads write to all of them:
+// some writes hitting it may have been deferred and acknowledged, but
+// from then on the shard refuses work with the original error, whoever
+// applied the failing write. The other shards keep working.
+TEST(ShardedStoreTest, DeferredFailureIsSticky) {
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 512;
+  FaultInjectionBackend* fault = nullptr;
+  const BackendFactory backends =
+      [&fault](uint32_t shard) -> std::unique_ptr<SegmentBackend> {
+    if (shard != 0) return std::make_unique<NullBackend>();
+    auto f = std::make_unique<FaultInjectionBackend>();
+    f->FailSealsAfter(4, Status::Corruption("injected seal failure"));
+    fault = f.get();
+    return f;
+  };
+  Status st;
+  auto store = ShardedStore::Create(cfg, 4, FactoryFor(Variant::kMdc), &st,
+                                    backends);
+  ASSERT_NE(store, nullptr) << st.ToString();
+  ASSERT_NE(fault, nullptr);
+
+  constexpr uint32_t kThreads = 4;
+  constexpr PageId kPages = 3000;
+  std::vector<std::thread> pool;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Rng rng(40 + t);
+      for (int i = 0; i < 10000; ++i) {
+        const Status s = store->Write(rng.NextBounded(kPages));
+        // Only the injected failure may surface.
+        EXPECT_TRUE(s.ok() || s.code() == Status::Code::kCorruption)
+            << s.ToString();
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(fault->seals(), 4);
+
+  PageId on_failed = 0;
+  PageId on_healthy = 0;
+  while (store->ShardOf(on_failed) != 0) ++on_failed;
+  while (store->ShardOf(on_healthy) == 0) ++on_healthy;
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(store->Write(on_failed).code(), Status::Code::kCorruption);
+    EXPECT_EQ(store->Delete(on_failed).code(), Status::Code::kCorruption);
+    EXPECT_EQ(store->Flush().code(), Status::Code::kCorruption);
+  }
+  EXPECT_TRUE(store->Write(on_healthy).ok());
+  const Status inv = store->CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
 }
 
 // A flush that runs out of space must not lose the writes it had not
