@@ -4,9 +4,11 @@
 //   hit-path   Pure cache hits on a resident working set. The pool's
 //              latch_acquisitions counter is read around the Pin burst
 //              and the Unpin burst separately, so the panel *proves* the
-//              latch economics from counters alone: exact LRU and 2Q pay
-//              one partition-latch acquisition per hit (and one per
-//              unpin); CLOCK pays zero on both.
+//              latch economics from counters alone: no policy takes the
+//              partition latch on a hit or an unpin. Exact LRU and 2Q
+//              queue each access as an event instead, and pay one latch
+//              per kAccessQueueCapacity events per partition only when
+//              no miss replays the queue first.
 //   tpcc       The fig6 trace-generation pipeline at small scale, one
 //              run per policy: how well each policy's cache absorbs the
 //              TPC-C page-reference stream (hit rate, evictions,

@@ -14,7 +14,9 @@
 #             seal pipeline
 #             (AsyncSeal* cases in tests/core/sharded_store_test.cc), the
 #             latch-striped buffer pool (BufferPoolParallel*, which
-#             includes the latch-free CLOCK hit-path stress), the
+#             includes the every-policy latch-free hit-path stress), the
+#             bounded MPSC queue under racing producers
+#             (BoundedMpscQueueParallel*), the
 #             latch-coupled B+-tree (BTreeParallel*: N-writer/M-reader
 #             stress and delete-churn over one shared tree), the
 #             multi-worker TPC-C engine (TpccParallel*) and parallel
@@ -188,13 +190,25 @@ fi
 # Buffer-pool eviction-policy smoke: runs all three policies (exact
 # LRU / CLOCK / 2Q) through the hit-path, TPC-C and scan-flood panels
 # and sanity-checks the JSON — the gate for the pluggable-eviction
-# seam (latch-free CLOCK hits, 2Q scan resistance).
+# seam (latch-free hits under every policy, 2Q scan resistance). Every
+# policy's hit_path row must show zero latches per pin hit and at most
+# 0.01 per unpin: a hit or unpin that takes the partition latch fails.
 if [[ -x "$BUILD_DIR/bench/buffer_pool" ]]; then
   LSS_BENCH_SMOKE=1 \
     LSS_BENCH_JSON="$BUILD_DIR/buffer_pool_smoke.json" \
     "$BUILD_DIR/bench/buffer_pool"
   grep -q '"bench":"buffer_pool"' "$BUILD_DIR/buffer_pool_smoke.json"
   grep -q '"row":"scan_flood"' "$BUILD_DIR/buffer_pool_smoke.json"
+  if ! grep '"row":"hit_path"' "$BUILD_DIR/buffer_pool_smoke.json" | awk '
+      { rows++
+        pin = $0; sub(/.*"latches_per_pin_hit":/, "", pin); sub(/[,}].*/, "", pin)
+        unpin = $0; sub(/.*"latches_per_unpin":/, "", unpin); sub(/[,}].*/, "", unpin)
+        if (pin != "0" || unpin + 0 > 0.01) bad++ }
+      END { exit !(rows == 3 && bad == 0) }'; then
+    echo "check.sh: buffer_pool hit_path rows show latched hits or unpins:" >&2
+    grep '"row":"hit_path"' "$BUILD_DIR/buffer_pool_smoke.json" >&2
+    exit 1
+  fi
   echo "check.sh: buffer_pool policy smoke green"
 fi
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 namespace lss {
@@ -156,7 +155,6 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
   if (key.size() + value.size() > NodeView::kMaxPayload || key.empty()) {
     return Status::InvalidArgument("key/value payload out of bounds");
   }
-  std::shared_lock<std::shared_mutex> q(quiesce_);
   {
     PageRef leaf_ref = DescendForWrite(key);
     NodeView leaf(leaf_ref.data());
@@ -183,7 +181,6 @@ Status BTree::Put(std::string_view key, std::string_view value) {
   if (key.size() + value.size() > NodeView::kMaxPayload || key.empty()) {
     return Status::InvalidArgument("key/value payload out of bounds");
   }
-  std::shared_lock<std::shared_mutex> q(quiesce_);
   {
     PageRef leaf_ref = DescendForWrite(key);
     NodeView leaf(leaf_ref.data());
@@ -325,7 +322,6 @@ Status BTree::SplitAndInsert(std::vector<PageRef>* path, std::string_view key,
 
 bool BTree::Get(std::string_view key, std::string* value) const {
   AssertLive();
-  std::shared_lock<std::shared_mutex> q(quiesce_);
   PageRef ref = DescendShared(key);
   NodeView leaf(ref.data());
   uint16_t slot;
@@ -336,7 +332,6 @@ bool BTree::Get(std::string_view key, std::string* value) const {
 
 bool BTree::Delete(std::string_view key) {
   AssertLive();
-  std::shared_lock<std::shared_mutex> q(quiesce_);
   PageRef ref = DescendForWrite(key);
   NodeView leaf(ref.data());
   uint16_t slot;
@@ -362,7 +357,6 @@ BTree::Iterator::Iterator(const BTree* tree, PageNo leaf, uint16_t slot,
 void BTree::Iterator::Load() {
   valid_ = false;
   if (latched_) {
-    std::shared_lock<std::shared_mutex> q(tree_->quiesce_);
     while (leaf_ != kInvalidPageNo) {
       PageRef ref(tree_->pool_, leaf_, LatchMode::kShared);
       if (tree_->mods_.load(std::memory_order_acquire) != mod_snapshot_) {
@@ -386,8 +380,8 @@ void BTree::Iterator::Load() {
     }
     return;
   }
-  // Quiescent walk (CheckIntegrity holds the quiescence latch
-  // exclusively): plain pins, no counter check.
+  // Quiescent walk (CheckIntegrity's caller keeps the tree quiescent):
+  // plain pins, no counter check.
   while (leaf_ != kInvalidPageNo) {
     PageRef ref(tree_->pool_, leaf_);
     NodeView node(ref.data());
@@ -404,11 +398,11 @@ void BTree::Iterator::Load() {
 }
 
 void BTree::Iterator::Reposition() {
-  // Runs under the caller's quiesce_ shared lock with no page latch
-  // held. The snapshot is taken before the descent: if yet another write
-  // lands mid-descent, the NEXT Load detects it and re-seeks again —
-  // but the record loaded here is still read consistently under its
-  // leaf latch, so forward progress is guaranteed per call.
+  // Runs with no page latch held. The snapshot is taken before the
+  // descent: if yet another write lands mid-descent, the NEXT Load
+  // detects it and re-seeks again — but the record loaded here is still
+  // read consistently under its leaf latch, so forward progress is
+  // guaranteed per call.
   const uint64_t snap = tree_->mods_.load(std::memory_order_acquire);
   PageRef ref = tree_->DescendShared(bound_);
   NodeView node(ref.data());
@@ -459,15 +453,12 @@ BTree::Iterator BTree::Seek(std::string_view key) const {
   PageNo leaf_no;
   uint16_t slot;
   {
-    std::shared_lock<std::shared_mutex> q(quiesce_);
     snap = mods_.load(std::memory_order_acquire);
     PageRef ref = DescendShared(key);
     NodeView leaf(ref.data());
     slot = leaf.LowerBound(key);
     leaf_no = ref.page();
   }
-  // The quiescence latch is released before Load (which re-acquires it)
-  // runs in the Iterator constructor: shared_mutex is not recursive.
   return Iterator(this, leaf_no, slot, snap, std::string(key),
                   /*bound_inclusive=*/true, /*latched=*/true);
 }
@@ -477,7 +468,6 @@ BTree::Iterator BTree::Begin() const {
   uint64_t snap;
   PageNo leaf_no;
   {
-    std::shared_lock<std::shared_mutex> q(quiesce_);
     snap = mods_.load(std::memory_order_acquire);
     PageRef ref = DescendLeftmost();
     leaf_no = ref.page();
@@ -529,10 +519,8 @@ Status BTree::CheckSubtree(PageNo page, std::string_view lo,
 
 Status BTree::CheckIntegrity() const {
   AssertLive();
-  // Quiesce the tree: every operation and iterator load holds this
-  // latch shared, so once acquired exclusively the walk below sees a
-  // frozen tree and needs no page latches.
-  std::unique_lock<std::shared_mutex> q(quiesce_);
+  // The caller guarantees quiescence, so the walk below sees a frozen
+  // tree and needs no page latches.
   uint32_t leaf_depth = 0;
   uint64_t records = 0;
   Status s = CheckSubtree(root(), {}, {}, 1, &leaf_depth, &records);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +25,8 @@ namespace lss {
 /// B+-tree"). Readers crab shared latches root->leaf; writers descend
 /// optimistically (shared latches, exclusive leaf) and restart with a
 /// full exclusive-path descent only when the leaf must split.
-/// CheckIntegrity quiesces the tree through a tree-wide latch. Moving a
-/// BTree is NOT thread-safe: both trees must be externally quiescent.
+/// CheckIntegrity and moving a BTree are NOT thread-safe: the caller
+/// must quiesce the tree (and, for a move, both trees) first.
 ///
 /// Scope notes (documented simplifications, see docs/ARCHITECTURE.md):
 /// deletes do not rebalance (underfull leaves persist, as in
@@ -111,8 +110,8 @@ class BTree {
     uint64_t mod_snapshot_ = 0;
     std::string bound_;
     bool bound_inclusive_ = true;
-    // False only for CheckIntegrity's internal walk, which runs under
-    // the tree-wide quiescence latch and needs no page latches.
+    // False only for CheckIntegrity's internal walk, which runs on a
+    // quiescent tree and needs no page latches.
     bool latched_ = true;
   };
 
@@ -122,9 +121,8 @@ class BTree {
   Iterator Begin() const;
 
   /// Full structural validation: node consistency, key ordering within
-  /// and across nodes, leaf chain coverage. O(tree). Takes the tree-wide
-  /// quiescence latch exclusively, so it can run while other threads
-  /// use the tree (they block for its duration).
+  /// and across nodes, leaf chain coverage. O(tree). The caller must
+  /// quiesce the tree: no concurrent operations or iterator steps.
   Status CheckIntegrity() const;
 
   /// Height of the tree (1 = root is a leaf). For tests/diagnostics.
@@ -166,8 +164,7 @@ class BTree {
   Status SplitAndInsert(std::vector<PageRef>* path, std::string_view key,
                         std::string_view value);
 
-  // Unlatched walk for quiescent validation (caller holds quiesce_
-  // exclusively or the tree single-threaded).
+  // Unlatched walk for quiescent validation.
   PageNo DescendToLeaf(std::string_view key,
                        std::vector<PageNo>* path) const;
   // Routing decision within an internal node.
@@ -183,11 +180,6 @@ class BTree {
   // Bumped (under the exclusive leaf latch) by every successful
   // mutation; iterators snapshot it to detect intervening writes.
   std::atomic<uint64_t> mods_{0};
-  // Tree-wide quiescence latch: operations and iterator loads hold it
-  // shared, CheckIntegrity holds it exclusively. Ordered strictly before
-  // page latches (acquired first, released last) so the two layers
-  // cannot deadlock.
-  mutable std::shared_mutex quiesce_;
 };
 
 }  // namespace lss

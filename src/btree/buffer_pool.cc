@@ -52,21 +52,18 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_pages,
     for (Frame& f : part->frames) f.data.resize(kBtreePageSize);
     part->free_frames.reserve(n);
     for (size_t i = n; i > 0; --i) part->free_frames.push_back(i - 1);
-    part->policy = MakeEvictionPolicy(policy, n);
-    part->policy->AttachFrameState(part.get());
-    latch_free_ops_ = part->policy->LatchFreeOps();
-    if (latch_free_ops_) {
-      // >= 4x frames, power of two: live hints stay <= 25% of the table
-      // and rebuilds cap tombstones at another 25%, so probes always
-      // terminate at an empty slot.
-      size_t cap = 16;
-      while (cap < 4 * n) cap *= 2;
-      part->hints = std::vector<std::atomic<uint64_t>>(cap);
-      for (auto& h : part->hints) {
-        h.store(kHintEmpty, std::memory_order_relaxed);
-      }
-      part->hint_mask = cap - 1;
+    part->policy = MakeEvictionPolicy(policy, part.get());
+    queue_events_ = part->policy->ConsumesAccessEvents();
+    // >= 4x frames, power of two: live hints stay <= 25% of the table
+    // and rebuilds cap tombstones at another 25%, so probes always
+    // terminate at an empty slot.
+    size_t cap = 16;
+    while (cap < 4 * n) cap *= 2;
+    part->hints = std::vector<std::atomic<uint64_t>>(cap);
+    for (auto& h : part->hints) {
+      h.store(kHintEmpty, std::memory_order_relaxed);
     }
+    part->hint_mask = cap - 1;
     parts_.push_back(std::move(part));
   }
 }
@@ -126,7 +123,7 @@ uint64_t BufferPool::latch_acquisitions() const {
   return n;
 }
 
-// --- Hint table (latch-free policies; writers under part.mu) -----------
+// --- Hint table (writers under part.mu) ---------------------------------
 
 void BufferPool::HintInsert(Partition& part, PageNo page, size_t idx) {
   if (part.hint_tombstones > part.hints.size() / 4) HintRebuild(part);
@@ -180,38 +177,109 @@ void BufferPool::HintRebuild(Partition& part) {
   }
 }
 
-// --- Latch-free hit path ------------------------------------------------
+// --- Latch-free hit and unpin paths ------------------------------------
 
-BufferPool::Frame* BufferPool::TryLatchFreeHit(Partition& part,
-                                               PageNo page) {
+BufferPool::Frame* BufferPool::HintLookup(Partition& part, PageNo page) {
   uint64_t s = SplitMix64(page) & part.hint_mask;
   for (size_t probe = 0; probe <= part.hint_mask; ++probe) {
     const uint64_t slot = part.hints[s].load(std::memory_order_acquire);
     if (slot == kHintEmpty) return nullptr;
     if (slot != kHintTombstone && static_cast<PageNo>(slot >> 32) == page) {
-      Frame& f = part.frames[static_cast<uint32_t>(slot)];
-      // Optimistic pin: claim a pin first, then validate. The acquire RMW
-      // synchronises with the frame's publishing release (the eviction
-      // claim's release or the hint store), so a validated frame's bytes
-      // are fully loaded.
-      const uint32_t old = f.pins.fetch_add(1, std::memory_order_acquire);
-      if ((old & kEvicting) != 0) {
-        // Mid-eviction/flush: back off; the latched path will resolve.
-        f.pins.fetch_sub(1, std::memory_order_relaxed);
-        return nullptr;
-      }
-      if (f.page.load(std::memory_order_acquire) != page) {
-        // Stale hint: the frame was recycled. Undo the pin.
-        f.pins.fetch_sub(1, std::memory_order_release);
-        return nullptr;
-      }
-      f.ref.store(1, std::memory_order_relaxed);
-      part.hits.fetch_add(1, std::memory_order_relaxed);
-      return &f;
+      return &part.frames[static_cast<uint32_t>(slot)];
     }
     s = (s + 1) & part.hint_mask;
   }
   return nullptr;
+}
+
+BufferPool::Frame* BufferPool::TryLatchFreeHit(Partition& part,
+                                               PageNo page) {
+  Frame* f = HintLookup(part, page);
+  if (f == nullptr) return nullptr;
+  // Optimistic pin: claim a pin first, then validate. The acquire RMW
+  // synchronises with the frame's publishing release (the eviction
+  // claim's release or the hint store), so a validated frame's bytes are
+  // fully loaded.
+  const uint32_t old = f->pins.fetch_add(1, std::memory_order_acquire);
+  if ((old & kEvicting) != 0) {
+    // Mid-eviction/flush: back off; the latched path will resolve.
+    f->pins.fetch_sub(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  if (f->page.load(std::memory_order_acquire) != page) {
+    // Stale hint: the frame was recycled. Undo the pin.
+    f->pins.fetch_sub(1, std::memory_order_release);
+    return nullptr;
+  }
+  f->ref.store(1, std::memory_order_relaxed);
+  part.hits.fetch_add(1, std::memory_order_relaxed);
+  if (queue_events_) RecordAccess(part, *f, page, /*unpin=*/false);
+  return f;
+}
+
+void BufferPool::UnpinFrame(Frame& f, PageNo page, bool dirty) {
+  // The caller's pin keeps the frame resident; no lookup or latch is
+  // needed. Publish the dirty mark before the release decrement an
+  // eviction claim synchronises with.
+  if (dirty) f.dirty.store(true, std::memory_order_relaxed);
+  const uint32_t old = f.pins.fetch_sub(1, std::memory_order_release);
+  assert((old & ~kEvicting) > 0);
+  if (queue_events_ && (old & ~kEvicting) == 1) {
+    RecordAccess(PartitionFor(page), f, page, /*unpin=*/true);
+  }
+}
+
+void BufferPool::Unpin(PageNo page, bool dirty) {
+  Partition& part = PartitionFor(page);
+  // The caller holds a pin, so the frame cannot be evicted and its hint
+  // cannot be erased; only a concurrent hint rebuild can hide it
+  // transiently, in which case the authoritative map resolves it.
+  Frame* f = HintLookup(part, page);
+  if (f == nullptr || f->page.load(std::memory_order_relaxed) != page) {
+    std::unique_lock<std::mutex> lock = Latch(part);
+    auto it = part.page_to_frame.find(page);
+    assert(it != part.page_to_frame.end() && "unpin of uncached page");
+    f = &part.frames[it->second];
+  }
+  UnpinFrame(*f, page, dirty);
+}
+
+// --- Access events -------------------------------------------------------
+
+void BufferPool::RecordAccess(Partition& part, Frame& f, PageNo page,
+                              bool unpin) {
+  const AccessEvent event{
+      static_cast<uint32_t>(&f - part.frames.data()), unpin ? 1u : 0u,
+      page};
+  if (part.events.TryPush(event)) return;
+  // Full: replay the backlog under the latch, then this event after it,
+  // so no event is lost and the order holds.
+  std::unique_lock<std::mutex> lock = Latch(part);
+  ApplyEvent(part, event);
+}
+
+void BufferPool::ApplyEvent(Partition& part, const AccessEvent& event) {
+  // The frame was recycled since the access: the event is about a page
+  // this frame no longer caches.
+  if (part.frames[event.frame].page.load(std::memory_order_relaxed) !=
+      event.page) {
+    return;
+  }
+  if (event.unpin) {
+    part.policy->OnUnpin(event.frame);
+  } else {
+    part.policy->OnHit(event.frame);
+  }
+}
+
+std::unique_lock<std::mutex> BufferPool::Latch(Partition& part) {
+  std::unique_lock<std::mutex> lock(part.mu);
+  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  if (part.events.Pending()) {
+    part.events.Drain(
+        [&](const AccessEvent& event) { ApplyEvent(part, event); });
+  }
+  return lock;
 }
 
 // --- Latched paths ------------------------------------------------------
@@ -248,14 +316,13 @@ size_t BufferPool::EvictOne(Partition& part) {
                                         std::memory_order_acquire,
                                         std::memory_order_relaxed)) {
       // A latch-free pin won the race — the frame is hot again. Ask the
-      // policy for another victim (its hand advanced, so this makes
-      // progress). Unreachable for latched policies.
+      // policy again: it now skips the pinned frame.
       continue;
     }
     const PageNo page = f.page.load(std::memory_order_relaxed);
     if (f.dirty.load(std::memory_order_relaxed)) WriteBack(part, idx);
     part.page_to_frame.erase(page);
-    if (latch_free_ops_) HintErase(part, page);
+    HintErase(part, page);
     part.policy->OnEvict(idx, page);
     f.page.store(kInvalidPageNo, std::memory_order_relaxed);
     part.evictions.fetch_add(1, std::memory_order_relaxed);
@@ -291,7 +358,7 @@ size_t BufferPool::FrameFor(Partition& part, PageNo page,
   if (load_from_pager) pager_->Read(page, f.data.data());
   part.page_to_frame.emplace(page, idx);
   part.policy->OnInsert(idx, page);
-  if (latch_free_ops_) HintInsert(part, page, idx);
+  HintInsert(part, page, idx);
   if (claimed) {
     // Release the eviction claim; transient latch-free pinners' +1s (all
     // of which back off) are preserved. The release pairs with the
@@ -310,81 +377,19 @@ size_t BufferPool::PinLocked(Partition& part, PageNo page,
 
 BufferPool::Frame& BufferPool::PinFrame(PageNo page) {
   Partition& part = PartitionFor(page);
-  if (latch_free_ops_) {
-    if (Frame* f = TryLatchFreeHit(part, page)) return *f;
-  }
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  const size_t idx = PinLocked(part, page, /*load_from_pager=*/true);
-  return part.frames[idx];
+  if (Frame* f = TryLatchFreeHit(part, page)) return *f;
+  std::unique_lock<std::mutex> lock = Latch(part);
+  return part.frames[PinLocked(part, page, /*load_from_pager=*/true)];
 }
 
 uint8_t* BufferPool::Pin(PageNo page) {
   return PinFrame(page).data.data();
 }
 
-void BufferPool::UnpinFrame(Frame& f, PageNo page, bool dirty) {
-  if (latch_free_ops_) {
-    // The caller's pin keeps the frame resident; no lookup or latch is
-    // needed. Publish the dirty mark before the release decrement an
-    // eviction claim synchronises with.
-    if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-    f.pins.fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-  const uint32_t old = f.pins.fetch_sub(1, std::memory_order_release);
-  assert((old & ~kEvicting) > 0);
-  if ((old & ~kEvicting) == 1) {
-    part.policy->OnUnpin(static_cast<size_t>(&f - part.frames.data()));
-  }
-}
-
-void BufferPool::Unpin(PageNo page, bool dirty) {
-  Partition& part = PartitionFor(page);
-  if (latch_free_ops_) {
-    // The caller holds a pin, so the frame cannot be evicted and its
-    // hint cannot be erased; only a concurrent hint rebuild can hide it
-    // transiently, in which case the latched path below resolves.
-    uint64_t s = SplitMix64(page) & part.hint_mask;
-    for (size_t probe = 0; probe <= part.hint_mask; ++probe) {
-      const uint64_t slot = part.hints[s].load(std::memory_order_acquire);
-      if (slot == kHintEmpty) break;
-      if (slot != kHintTombstone &&
-          static_cast<PageNo>(slot >> 32) == page) {
-        Frame& f = part.frames[static_cast<uint32_t>(slot)];
-        if (f.page.load(std::memory_order_relaxed) != page) break;
-        // Publish the dirty mark before releasing the pin: the release
-        // decrement is what an eviction claim synchronises with.
-        if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-        f.pins.fetch_sub(1, std::memory_order_release);
-        return;
-      }
-      s = (s + 1) & part.hint_mask;
-    }
-  }
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  auto it = part.page_to_frame.find(page);
-  assert(it != part.page_to_frame.end() && "unpin of uncached page");
-  Frame& f = part.frames[it->second];
-  const uint32_t pins = f.pins.load(std::memory_order_relaxed);
-  assert((pins & ~kEvicting) > 0);
-  (void)pins;
-  if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-  const uint32_t old = f.pins.fetch_sub(1, std::memory_order_release);
-  if ((old & ~kEvicting) == 1) part.policy->OnUnpin(it->second);
-  return;
-}
-
 PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
   const PageNo page = pager_->Allocate();
   Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> lock = Latch(part);
   const size_t idx = PinLocked(part, page, /*load_from_pager=*/false);
   Frame& f = part.frames[idx];
   std::fill(f.data.begin(), f.data.end(), 0);
@@ -397,8 +402,7 @@ PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
 
 void BufferPool::FlushAll() {
   for (auto& part : parts_) {
-    std::lock_guard<std::mutex> lock(part->mu);
-    part->latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock = Latch(*part);
     for (size_t i = 0; i < part->frames.size(); ++i) {
       Frame& f = part->frames[i];
       if (f.page.load(std::memory_order_relaxed) == kInvalidPageNo) continue;

@@ -14,6 +14,7 @@
 #include "btree/page.h"
 #include "btree/pager.h"
 #include "core/types.h"
+#include "util/mpsc_queue.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -42,22 +43,30 @@ enum class LatchMode : uint8_t {
 /// I/O only ever happens while the pool holds the frame exclusively, so
 /// the pager needs no per-page locking of its own.
 ///
+/// Cache hits and unpins take NO latch, whatever the replacement policy.
+/// A hit finds its frame through a per-partition lock-free hint table,
+/// pins it with an atomic increment, validates the page identity, and
+/// sets the frame's reference bit; eviction claims a frame by CAS-ing its
+/// pin word to a reserved "evicting" value, so a racing latch-free pin
+/// either lands first (the CAS fails and the policy is asked again) or
+/// observes the claim and backs off to the latched path. The latch is
+/// taken only on miss/eviction, AllocatePinned, FlushAll and a full
+/// access-event queue — latch_acquisitions() counts exactly those, which
+/// is how bench/buffer_pool proves hits are latch-free.
+///
 /// Replacement is a policy seam (btree/eviction_policy.h), selected per
 /// pool at construction:
-///  - kExactLru (default): every operation, hits included, runs under the
-///    partition latch; replacement is exact LRU per partition, bit-for-bit
-///    the pre-seam pool (pinned by a determinism test at 1 partition).
-///  - kClock: cache hits and unpins take NO latch. A hit finds its frame
-///    through a per-partition lock-free hint table, pins it with an
-///    atomic increment, validates the page identity, and records the
-///    access as a relaxed store to the frame's reference bit; eviction
-///    claims a frame by CAS-ing its pin word to a reserved "evicting"
-///    value, so a racing latch-free pin either lands first (the CAS fails
-///    and the sweep moves on) or observes the claim and backs off to the
-///    latched path. The latch is taken only on miss/eviction/flush —
-///    latch_acquisitions() counts exactly those acquisitions, which is
-///    how bench/buffer_pool proves hits are latch-free.
-///  - kTwoQ: latched like LRU, but scan-resistant (see the policy).
+///  - kExactLru (default): exact LRU per partition. Each latch-free hit
+///    and each unpin to zero pushes an access event {frame, page, kind}
+///    into the partition's bounded FIFO (util/mpsc_queue.h); whoever next
+///    takes the latch replays the queue into the policy, in order, before
+///    doing anything else, and a pusher that finds the queue full takes
+///    the latch to replay it. At one thread the policy therefore sees the
+///    fully latched call sequence and the victims are bit-for-bit the
+///    pre-seam pool's (pinned by a determinism test at 1 partition).
+///  - kClock: consumes no events; the sweep reads the reference bits.
+///  - kTwoQ: scan-resistant (see the policy); fed by access events like
+///    exact LRU.
 ///
 /// Frame-content contract: the pool synchronises its own metadata, not
 /// the cached bytes. Each frame carries a reader-writer page latch
@@ -120,11 +129,16 @@ class BufferPool {
   uint64_t evictions() const;
   uint64_t write_backs() const;
   /// Partition-latch acquisitions by the operation paths (Pin misses and
-  /// latched hits, latched unpins, AllocatePinned, FlushAll — one per
-  /// stripe visited). Counter reads themselves are not counted, so
-  /// (latch_acquisitions delta) / (hits delta) over a pure-hit phase is
-  /// exactly 1 for latched policies and 0 for CLOCK.
+  /// the rare hits that fall back to the latch, AllocatePinned, FlushAll
+  /// — one per stripe visited — and full access-event queues). Counter
+  /// reads themselves are not counted, so over a pure-hit phase shorter
+  /// than kAccessQueueCapacity events per partition the delta is 0.
   uint64_t latch_acquisitions() const;
+
+  /// Access events (a hit or an unpin to zero pins is one event each) a
+  /// partition queues before a pusher must take the latch to replay them.
+  static constexpr uint32_t kAccessQueueCapacity = 4096;
+
   size_t PinnedFrames() const;
 
  private:
@@ -140,20 +154,28 @@ class BufferPool {
     std::vector<uint8_t> data;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> dirty{false};
-    std::atomic<uint8_t> ref{0};  // reference bit; set on every access
+    std::atomic<uint8_t> ref{0};  // reference bit (CLOCK); set on access
     // Page latch (see LatchMode). Held only while pins > 0, so the latch
     // always refers to the page currently cached in this frame.
     std::shared_mutex latch;
   };
 
-  // Lock-free page -> frame-index hint table (only populated for
-  // latch-free policies). One atomic word per slot packs (page, idx);
-  // writers run under the partition latch, readers probe with acquire
-  // loads. A hint is advisory: the latch-free hit path re-validates
-  // against the frame's own page word after pinning, so a stale hint
-  // costs a fallback to the latched path, never a wrong frame.
+  // Lock-free page -> frame-index hint table. One atomic word per slot
+  // packs (page, idx); writers run under the partition latch, readers
+  // probe with acquire loads. A hint is advisory: the latch-free hit path
+  // re-validates against the frame's own page word after pinning, so a
+  // stale hint costs a fallback to the latched path, never a wrong frame.
   static constexpr uint64_t kHintEmpty = ~0ull;
   static constexpr uint64_t kHintTombstone = ~0ull - 1;
+
+  // A latch-free access, replayed into the policy under the latch. Eight
+  // bytes, so a queue cell is sixteen.
+  struct AccessEvent {
+    uint32_t frame : 31;
+    uint32_t unpin : 1;  // OnUnpin; otherwise OnHit
+    PageNo page;
+  };
+  static_assert(sizeof(AccessEvent) == 8, "access events are 8 bytes");
 
   // One latch stripe: a share of the frames plus all the state needed to
   // run them as an independent cache. Cache-line aligned so stripe
@@ -165,8 +187,8 @@ class BufferPool {
     std::vector<size_t> free_frames;
     std::unique_ptr<EvictionPolicy> policy;
 
-    // Hint table (latch-free policies only): power-of-two sized, at
-    // least 4x frames, so probe chains stay short at <= 25% load.
+    // Hint table: power-of-two sized, at least 4x frames, so probe chains
+    // stay short at <= 25% load.
     std::vector<std::atomic<uint64_t>> hints;
     uint64_t hint_mask = 0;
     size_t hint_tombstones = 0;
@@ -177,7 +199,11 @@ class BufferPool {
     std::atomic<uint64_t> write_backs{0};
     std::atomic<uint64_t> latch_acquisitions{0};
 
-    // FrameStateView (for CLOCK's sweep; runs under mu).
+    // Access events for policies that consume them; popped under mu. On
+    // its own cache lines: every latch-free access pushes here.
+    alignas(64) BoundedMpscQueue<AccessEvent, kAccessQueueCapacity> events;
+
+    // FrameStateView (victim selection; runs under mu).
     size_t frame_count() const override { return frames.size(); }
     bool Pinned(size_t idx) const override {
       return frames[idx].pins.load(std::memory_order_relaxed) != 0;
@@ -194,10 +220,27 @@ class BufferPool {
     return *parts_[SplitMix64(page) % parts_.size()];
   }
 
-  // Latch-free hit path (latch-free policies only): returns the pinned
-  // frame, or nullptr when the page must go through the latched path
-  // (not hinted, mid-eviction, or a stale hint).
+  // The frame the hint table maps `page` to, or nullptr. Advisory: the
+  // caller validates against the frame's own page word.
+  Frame* HintLookup(Partition& part, PageNo page);
+
+  // Latch-free hit path: returns the pinned frame, or nullptr when the
+  // page must go through the latched path (not hinted, mid-eviction, or
+  // a stale hint).
   Frame* TryLatchFreeHit(Partition& part, PageNo page);
+
+  // Takes part.mu for an operation path: counts the acquisition and
+  // replays the queued access events, so the policy is current before
+  // anything else runs under the latch.
+  std::unique_lock<std::mutex> Latch(Partition& part);
+
+  // Queues a hit on (or the last unpin of) frame `f` holding `page` as
+  // an access event; when the queue is full, takes the latch, which
+  // replays the queue, and applies this event after it.
+  void RecordAccess(Partition& part, Frame& f, PageNo page, bool unpin);
+  // Under part.mu: feeds one event to the policy, unless the frame has
+  // since been recycled for another page.
+  void ApplyEvent(Partition& part, const AccessEvent& event);
 
   // Pin/unpin by frame identity (PageRef's backend). PinFrame is Pin()
   // returning the frame itself so the caller can reach its page latch;
@@ -238,7 +281,7 @@ class BufferPool {
   size_t capacity_;
   WriteObserver observer_;
   EvictionPolicyKind policy_kind_;
-  bool latch_free_ops_ = false;
+  bool queue_events_ = false;  // the policy consumes access events
   std::vector<std::unique_ptr<Partition>> parts_;
 };
 

@@ -14,13 +14,12 @@ namespace lss {
 /// and survives one more revolution.
 class ClockEvictionPolicy : public EvictionPolicy {
  public:
-  ClockEvictionPolicy() = default;
+  explicit ClockEvictionPolicy(FrameStateView* view) : view_(view) {}
 
   std::string name() const override { return "clock"; }
-  bool LatchFreeOps() const override { return true; }
-  void AttachFrameState(FrameStateView* view) override { view_ = view; }
+  bool ConsumesAccessEvents() const override { return false; }
 
-  // Hits and unpins are latch-free; nothing to record here.
+  // Hits and unpins only set reference bits; nothing to record here.
   void OnInsert(size_t idx, PageNo page) override;
   void OnHit(size_t) override {}
   void OnUnpin(size_t) override {}
@@ -28,7 +27,7 @@ class ClockEvictionPolicy : public EvictionPolicy {
   size_t PickVictim() override;
 
  private:
-  FrameStateView* view_ = nullptr;
+  FrameStateView* view_;
   size_t hand_ = 0;
 };
 

@@ -1,20 +1,16 @@
 #include "btree/eviction/two_q_eviction.h"
 
+#include <algorithm>
+
 namespace lss {
 
-TwoQEvictionPolicy::TwoQEvictionPolicy(size_t frames)
-    : pos_(frames),
-      in_queue_(frames, false),
-      queue_(frames, Queue::kA1),
-      a1_target_(frames / 4 > 0 ? frames / 4 : 1),
-      ghost_limit_(frames / 2 > 0 ? frames / 2 : 1) {}
-
-void TwoQEvictionPolicy::Remove(size_t idx) {
-  if (in_queue_[idx]) {
-    (queue_[idx] == Queue::kA1 ? a1_ : am_).erase(pos_[idx]);
-    in_queue_[idx] = false;
-  }
-}
+TwoQEvictionPolicy::TwoQEvictionPolicy(FrameStateView* frames)
+    : frames_(frames),
+      a1_(frames->frame_count()),
+      am_(frames->frame_count()),
+      queue_(frames->frame_count(), Queue::kA1),
+      a1_target_(std::max<size_t>(1, frames->frame_count() / 4)),
+      ghost_limit_(std::max<size_t>(1, frames->frame_count() / 2)) {}
 
 void TwoQEvictionPolicy::RememberGhost(PageNo page) {
   ghost_fifo_.push_front(page);
@@ -37,27 +33,23 @@ void TwoQEvictionPolicy::OnInsert(size_t idx, PageNo page) {
     queue_[idx] = Queue::kA1;
     ++a1_resident_;
   }
-  // The frame is pinned; it enters its queue's list on first unpin.
+  ListOf(idx).PushFront(idx);
 }
 
 void TwoQEvictionPolicy::OnHit(size_t idx) {
-  Remove(idx);
   if (queue_[idx] == Queue::kA1) {
     // Re-referenced while probationary: promote.
+    a1_.Remove(idx);
     queue_[idx] = Queue::kAm;
     --a1_resident_;
+    am_.PushFront(idx);
   }
 }
 
-void TwoQEvictionPolicy::OnUnpin(size_t idx) {
-  std::list<size_t>& q = queue_[idx] == Queue::kA1 ? a1_ : am_;
-  q.push_front(idx);
-  pos_[idx] = q.begin();
-  in_queue_[idx] = true;
-}
+void TwoQEvictionPolicy::OnUnpin(size_t idx) { ListOf(idx).MoveToFront(idx); }
 
 void TwoQEvictionPolicy::OnEvict(size_t idx, PageNo page) {
-  Remove(idx);
+  ListOf(idx).Remove(idx);
   if (queue_[idx] == Queue::kA1) {
     --a1_resident_;
     RememberGhost(page);
@@ -68,10 +60,13 @@ size_t TwoQEvictionPolicy::PickVictim() {
   // Drain the probationary FIFO down to its target before touching the
   // protected set — this is the scan shield: flood pages queue up in A1
   // and are recycled from its tail.
-  if (a1_resident_ > a1_target_ && !a1_.empty()) return a1_.back();
-  if (!am_.empty()) return am_.back();
-  if (!a1_.empty()) return a1_.back();
-  return kNoVictim;
+  if (a1_resident_ > a1_target_) {
+    const size_t idx = a1_.LastUnpinned(*frames_);
+    if (idx != kNoVictim) return idx;
+  }
+  const size_t idx = am_.LastUnpinned(*frames_);
+  if (idx != kNoVictim) return idx;
+  return a1_.LastUnpinned(*frames_);
 }
 
 }  // namespace lss

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "btree/eviction/frame_list.h"
 #include "btree/eviction_policy.h"
 
 namespace lss {
@@ -23,7 +24,7 @@ namespace lss {
 /// evicted page numbers (ghosts hold no data).
 class TwoQEvictionPolicy : public EvictionPolicy {
  public:
-  explicit TwoQEvictionPolicy(size_t frames);
+  explicit TwoQEvictionPolicy(FrameStateView* frames);
 
   std::string name() const override { return "2q"; }
   void OnInsert(size_t idx, PageNo page) override;
@@ -35,16 +36,16 @@ class TwoQEvictionPolicy : public EvictionPolicy {
  private:
   enum class Queue : uint8_t { kA1 = 0, kAm = 1 };
 
-  void Remove(size_t idx);
+  FrameList& ListOf(size_t idx) {
+    return queue_[idx] == Queue::kA1 ? a1_ : am_;
+  }
   void RememberGhost(PageNo page);
 
-  // Resident frames, split across the two queues; like LRU's list, the
-  // queues hold only unpinned frames (front = most recent). A pinned
-  // frame's queue_ tag says where it re-enters on unpin.
-  std::list<size_t> a1_;  // probationary FIFO
-  std::list<size_t> am_;  // protected LRU
-  std::vector<std::list<size_t>::iterator> pos_;  // valid iff in_queue_
-  std::vector<bool> in_queue_;
+  FrameStateView* frames_;
+  // Resident frames, split across the two queues (front = most recent);
+  // pinned frames stay listed and are skipped by PickVictim.
+  FrameList a1_;  // probationary FIFO
+  FrameList am_;  // protected LRU
   std::vector<Queue> queue_;  // which queue the frame belongs to
   size_t a1_resident_ = 0;    // A1 frames, pinned or not
 

@@ -7,12 +7,12 @@
 namespace lss {
 
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionPolicyKind kind,
-                                                   size_t frames) {
+                                                   FrameStateView* frames) {
   switch (kind) {
     case EvictionPolicyKind::kExactLru:
       return std::make_unique<LruEvictionPolicy>(frames);
     case EvictionPolicyKind::kClock:
-      return std::make_unique<ClockEvictionPolicy>();
+      return std::make_unique<ClockEvictionPolicy>(frames);
     case EvictionPolicyKind::kTwoQ:
       return std::make_unique<TwoQEvictionPolicy>(frames);
   }

@@ -12,26 +12,28 @@ namespace lss {
 
 /// Which replacement policy a BufferPool runs. Mirrors the cleaning-policy
 /// seam (core/cleaning_policy.h): the pool owns the frames and the latch;
-/// the policy owns the replacement decision.
+/// the policy owns the replacement decision. Under every policy a cache
+/// hit and an unpin take no latch (see BufferPool).
 enum class EvictionPolicyKind : uint8_t {
-  /// Exact LRU, bit-for-bit the pre-seam pool: every hit splices the
-  /// frame out of a per-partition LRU list under the partition latch.
+  /// Exact LRU, bit-for-bit the pre-seam pool at one thread: the pool
+  /// queues each latch-free hit and unpin as an access event and replays
+  /// them, in order, into a per-partition recency list under the latch
+  /// before the next replacement decision.
   kExactLru = 0,
   /// CLOCK / second-chance: a hit is a relaxed store to the frame's
-  /// reference bit — no latch, no list. The latch is taken only on
-  /// miss/eviction, where the clock hand sweeps for an unreferenced frame.
+  /// reference bit — no event, no list. The clock hand sweeps for an
+  /// unreferenced frame on miss/eviction.
   kClock = 1,
   /// 2Q: new pages enter a probationary FIFO (A1in) and are promoted to a
   /// protected LRU (Am) only on re-reference; a bounded ghost list (A1out)
   /// remembers recently evicted probationers so their return promotes
   /// directly. A one-pass scan churns through A1in without ever touching
-  /// the hot set in Am.
+  /// the hot set in Am. Fed by the same access events as exact LRU.
   kTwoQ = 2,
 };
 
 /// The per-frame state a policy may inspect during victim selection,
-/// implemented by the pool's partition. CLOCK reads reference bits the
-/// latch-free hit path sets; list-based policies never need it.
+/// implemented by the pool's partition.
 class FrameStateView {
  public:
   virtual ~FrameStateView() = default;
@@ -39,9 +41,9 @@ class FrameStateView {
   /// Frames in this partition.
   virtual size_t frame_count() const = 0;
 
-  /// True if the frame is currently pinned (or mid-write-back). Stable
-  /// for latched policies; a conservative snapshot under CLOCK, where the
-  /// caller re-validates with a pin CAS anyway.
+  /// True if the frame is currently pinned (or mid-write-back). A
+  /// snapshot: latch-free pins race victim selection, and the pool
+  /// re-validates every victim with a pin-word CAS anyway.
   virtual bool Pinned(size_t idx) const = 0;
 
   /// Returns the frame's reference bit and clears it (the second-chance
@@ -51,10 +53,18 @@ class FrameStateView {
 
 /// Strategy interface for buffer-pool page replacement. One instance per
 /// pool partition; every method runs under that partition's latch, so
-/// implementations need no locking of their own. The latch-free hit path
-/// (see LatchFreeOps) bypasses the policy entirely: the pool records the
-/// access in the frame's atomic reference bit, which is the only signal a
-/// latch-free policy gets about hits.
+/// implementations need no locking of their own.
+///
+/// Hits and unpins happen without the latch. For a policy that consumes
+/// access events, the pool records each one in a per-partition FIFO and
+/// replays the queue into OnHit / OnUnpin under the latch before any
+/// other policy call, so at one thread the policy sees exactly the call
+/// sequence a fully latched pool would make. Under concurrency an event
+/// may arrive late or after a neighbouring thread's event; the pool drops
+/// events whose frame has since been recycled for another page. Policies
+/// therefore keep every resident frame in their structures and skip
+/// pinned frames (FrameStateView::Pinned) when picking a victim, so no
+/// event order can strand an unpinned frame outside them.
 class EvictionPolicy {
  public:
   /// PickVictim result when every frame is pinned.
@@ -65,41 +75,34 @@ class EvictionPolicy {
   /// Policy name as selected by ParseEvictionPolicy ("lru", "clock", "2q").
   virtual std::string name() const = 0;
 
-  /// True when the policy needs no bookkeeping on hit or unpin, so the
-  /// pool may serve cache hits (and unpins) without the partition latch.
-  /// The pool then maintains frame reference bits in its hit path and the
-  /// policy consumes them in PickVictim.
-  virtual bool LatchFreeOps() const { return false; }
+  /// False when OnHit and OnUnpin are no-ops, so the pool need not queue
+  /// access events at all (CLOCK reads the frames' reference bits
+  /// instead).
+  virtual bool ConsumesAccessEvents() const { return true; }
 
   /// `page` was cached into frame `idx` (frame is pinned by the caller).
   virtual void OnInsert(size_t idx, PageNo page) = 0;
 
-  /// Latched hit on the resident frame `idx` (it is about to gain a pin;
-  /// it may already be pinned). Not called on latch-free hits.
+  /// A hit on the resident frame `idx` (it gained a pin).
   virtual void OnHit(size_t idx) = 0;
 
-  /// Frame `idx`'s pin count dropped to zero (it becomes evictable). Not
-  /// called by latch-free unpins.
+  /// Frame `idx`'s pin count dropped to zero (it became evictable).
   virtual void OnUnpin(size_t idx) = 0;
 
   /// Frame `idx`, holding `page`, was chosen for eviction and is leaving
   /// the cache.
   virtual void OnEvict(size_t idx, PageNo page) = 0;
 
-  /// Chooses an evictable frame, or kNoVictim when nothing is evictable
-  /// (every frame pinned). Latched policies must only return frames they
-  /// know are unpinned; CLOCK may return a best-effort candidate that the
-  /// pool re-validates (and re-calls on a race with a latch-free pin).
+  /// Chooses an unpinned frame, or kNoVictim when every frame is pinned.
+  /// The choice is a candidate: the pool claims it with a pin-word CAS
+  /// and calls PickVictim again if a latch-free pin got there first.
   virtual size_t PickVictim() = 0;
-
-  /// Gives the policy its partition's frame-state view. Called once by
-  /// the pool before use; only CLOCK keeps the pointer.
-  virtual void AttachFrameState(FrameStateView* view) { (void)view; }
 };
 
-/// Builds a policy instance for one partition of `frames` frames.
+/// Builds a policy instance for one partition, whose frames `frames`
+/// describes (the view must outlive the policy).
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionPolicyKind kind,
-                                                   size_t frames);
+                                                   FrameStateView* frames);
 
 /// "lru" | "clock" | "2q" (case-sensitive; the LSS_BENCH_POOL spellings).
 /// Returns false and leaves *out alone on an unknown name.

@@ -1,62 +1,12 @@
 #include "core/sharded_store.h"
 
-#include <thread>
-
 namespace lss {
 
-ShardedStore::WriteInbox::WriteInbox() {
-  for (uint32_t i = 0; i < kCapacity; ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-bool ShardedStore::WriteInbox::TryPush(PageId page, uint32_t bytes) {
-  uint64_t pos = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & (kCapacity - 1)];
-    const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const int64_t lag = static_cast<int64_t>(seq - pos);
-    if (lag == 0) {
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        cell.page = page;
-        cell.bytes = bytes;
-        cell.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (lag < 0) {
-      return false;  // the cell still holds the write pushed a lap ago
-    } else {
-      pos = tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-template <typename Fn>
-void ShardedStore::WriteInbox::Drain(Fn apply) {
-  // Stop at the tail seen now: writes pushed meanwhile are left to the
-  // next lock holder, which bounds the work one call does on others'
-  // behalf.
-  const uint64_t end = tail_.load(std::memory_order_relaxed);
-  for (; head_ != end; ++head_) {
-    Cell& cell = cells_[head_ & (kCapacity - 1)];
-    // A producer that claimed this position may not have filled it yet;
-    // it is a few stores away from doing so.
-    while (cell.seq.load(std::memory_order_acquire) != head_ + 1) {
-      std::this_thread::yield();
-    }
-    const PageId page = cell.page;
-    const uint32_t bytes = cell.bytes;
-    cell.seq.store(head_ + kCapacity, std::memory_order_release);
-    apply(page, bytes);
-  }
-}
-
 void ShardedStore::DrainInbox(Shard& s) {
-  s.inbox.Drain([&s](PageId page, uint32_t bytes) {
+  s.inbox.Drain([&s](const DeferredWrite& w) {
     // The arguments were checked when the write was deferred, so a
     // failure here is the shard's sticky error or its closing.
-    const Status st = s.shard->Write(page, bytes);
+    const Status st = s.shard->Write(w.page, w.bytes);
     NoteFailure(s, st);
   });
 }
@@ -186,7 +136,7 @@ Status ShardedStore::WriteContended(Shard& s, PageId page, uint32_t bytes) {
   if (!s.poisoned.load(std::memory_order_relaxed)) {
     Status st = CheckWriteArgs(page, bytes);
     if (!st.ok()) return st;
-    if (s.inbox.TryPush(page, bytes)) return Status::OK();
+    if (s.inbox.TryPush({page, bytes})) return Status::OK();
   }
   // Full inbox (backpressure) or a failed shard, whose error this call
   // must return: wait for the lock.

@@ -15,6 +15,7 @@
 #include "core/stats.h"
 #include "core/store_shard.h"
 #include "core/types.h"
+#include "util/mpsc_queue.h"
 #include "util/spin_lock.h"
 
 namespace lss {
@@ -197,45 +198,10 @@ class ShardedStore {
   Status CheckInvariants() const;
 
  private:
-  // A bounded multi-producer FIFO of deferred writes: Vyukov's bounded
-  // queue, where each cell's sequence number says whether the cell is
-  // free for the producer at position `pos` (seq == pos) or holds that
-  // producer's write for the consumer (seq == pos + 1). Any thread may
-  // push; only the shard's lock holder pops, so the consumer position is
-  // a plain field guarded by the lock.
-  class WriteInbox {
-   public:
-    // Covers one ~2 ms buffer flush at three other clients' arrival rate.
-    static constexpr uint32_t kCapacity = 4096;
-
-    WriteInbox();
-
-    // False when the inbox is full.
-    bool TryPush(PageId page, uint32_t bytes);
-
-    // Lock holder only: whether anything was pushed since the last
-    // Drain. One relaxed load; a write its own thread pushed is always
-    // seen.
-    bool Pending() const {
-      return tail_.load(std::memory_order_relaxed) != head_;
-    }
-
-    // Lock holder only: passes every write pushed before the call to
-    // `apply(page, bytes)`, oldest first.
-    template <typename Fn>
-    void Drain(Fn apply);
-
-   private:
-    struct Cell {
-      std::atomic<uint64_t> seq;
-      PageId page;
-      uint32_t bytes;
-    };
-    static_assert((kCapacity & (kCapacity - 1)) == 0, "power of two");
-
-    std::atomic<uint64_t> tail_{0};  // next position to claim
-    uint64_t head_ = 0;              // next position to pop
-    Cell cells_[kCapacity];
+  // A write deferred while the shard lock was busy.
+  struct DeferredWrite {
+    PageId page;
+    uint32_t bytes;
   };
 
   // Each shard starts on its own cache line so neighbouring locks do not
@@ -248,7 +214,10 @@ class ShardedStore {
     // closed; Write then stops deferring so callers see the error.
     std::atomic<bool> poisoned{false};
     std::unique_ptr<StoreShard> shard;
-    WriteInbox inbox;
+    // Deferred writes: any thread pushes; only the lock holder pops. 4096
+    // cells cover one ~2 ms buffer flush at three other clients' arrival
+    // rate.
+    BoundedMpscQueue<DeferredWrite, 4096> inbox;
   };
 
   // Holds a shard's lock with its inbox drained. Every entry point locks

@@ -10,6 +10,11 @@
 #include <mutex>
 #include <thread>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace lss {
 
 namespace {
@@ -101,16 +106,36 @@ class ReplayQueue {
   bool closed_ = false;
 };
 
-// Runs fn(thread_id) on `threads` workers and returns the first non-OK
-// status. With one thread the call is inlined on the caller's thread, so
-// a threads == 1 run has no scheduling nondeterminism at all.
+// Pins the calling thread to CPU `index` mod the CPU count. Best effort:
+// a failure (or a platform without affinity) leaves the thread unpinned.
+// Unpinned, two workers could share a core while one of them held a
+// shard lock, which made multi-thread throughput bimodal.
+void PinToCpu(uint32_t index) {
+#if defined(__linux__)
+  const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(index % n, &set);
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+  (void)index;
+#endif
+}
+
+// Runs fn(thread_id) on `threads` workers, worker t pinned to CPU t mod
+// the CPU count, and returns the first non-OK status. With one thread
+// the call is inlined on the caller's thread, so a threads == 1 run has
+// no scheduling nondeterminism at all.
 Status RunOnThreads(uint32_t threads, const std::function<Status(uint32_t)>& fn) {
   if (threads <= 1) return fn(0);
   std::vector<Status> statuses(threads);
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (uint32_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&statuses, &fn, t] { statuses[t] = fn(t); });
+    pool.emplace_back([&statuses, &fn, t] {
+      PinToCpu(t);
+      statuses[t] = fn(t);
+    });
   }
   for (std::thread& th : pool) th.join();
   for (const Status& s : statuses) {

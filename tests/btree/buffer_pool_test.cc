@@ -342,6 +342,42 @@ TEST(BufferPoolTest, ExactLruMatchesReferenceModel) {
     model.Unpin(held.front(), false);
     held.pop_front();
   }
+
+  // A hit-only stretch longer than the access-event queue, ending with
+  // an unpin that found the queue full, replayed it under the latch and
+  // applied its own event after it. Evictions of every stretch page
+  // (each dirtied, so each is written back in LRU order) follow and must
+  // match the model's. A page is never touched twice in a row, so every
+  // unpin changes the LRU order and a lost event would show.
+  for (PageNo p = 0; p < kCapacity; ++p) {
+    pool.Pin(p);
+    model.Pin(p);
+    pool.Unpin(p, false);
+    model.Unpin(p, false);
+  }
+  const uint64_t stretch_hits = pool.hits();
+  constexpr int kQueue = BufferPool::kAccessQueueCapacity;
+  int stretch = 0;
+  PageNo page = kCapacity - 1;
+  for (bool replayed = false; !replayed || 2 * stretch <= kQueue;
+       ++stretch) {
+    ASSERT_LT(stretch, 4 * kQueue) << "no unpin ever found the queue full";
+    x = SplitMix64(x);
+    page = static_cast<PageNo>((page + 1 + x % (kCapacity - 1)) % kCapacity);
+    pool.Pin(page);
+    model.Pin(page);
+    const uint64_t latches = pool.latch_acquisitions();
+    pool.Unpin(page, true);
+    model.Unpin(page, true);
+    replayed = pool.latch_acquisitions() != latches;
+  }
+  EXPECT_EQ(pool.hits() - stretch_hits, static_cast<uint64_t>(stretch));
+  for (PageNo p = kCapacity; p < kPages; ++p) {
+    pool.Pin(p);
+    model.Pin(p);
+    pool.Unpin(p, false);
+    model.Unpin(p, false);
+  }
   pool.FlushAll();
   model.FlushAll();
 
@@ -392,27 +428,41 @@ TEST(BufferPoolTest, TwoQSurvivesScanFlood) {
   }
 }
 
-TEST(BufferPoolTest, ClockHitsAreLatchFree) {
-  Pager pager;
-  BufferPool pool(&pager, 64, nullptr, /*partitions=*/1,
-                  EvictionPolicyKind::kClock);
-  std::vector<PageNo> pages;
-  for (int i = 0; i < 32; ++i) pages.push_back(pager.Allocate());
-  for (PageNo p : pages) {
-    pool.Pin(p);
-    pool.Unpin(p, false);
-  }
-  // Pure hits: pin and unpin must both bypass the partition latch.
-  const uint64_t latches = pool.latch_acquisitions();
-  const uint64_t hits = pool.hits();
-  for (int round = 0; round < 50; ++round) {
+const EvictionPolicyKind kAllPolicies[] = {
+    EvictionPolicyKind::kExactLru,
+    EvictionPolicyKind::kClock,
+    EvictionPolicyKind::kTwoQ,
+};
+
+TEST(BufferPoolTest, HitsAreLatchFreeForEveryPolicy) {
+  constexpr int kRounds = 50;
+  constexpr int kPages = 32;
+  // Every pin and every unpin is one queued access event; the phase
+  // must fit in the queue for the latch count to stay flat.
+  static_assert(2 * kRounds * kPages < BufferPool::kAccessQueueCapacity,
+                "pure-hit phase longer than the access-event queue");
+  for (EvictionPolicyKind kind : kAllPolicies) {
+    Pager pager;
+    BufferPool pool(&pager, 64, nullptr, /*partitions=*/1, kind);
+    std::vector<PageNo> pages;
+    for (int i = 0; i < kPages; ++i) pages.push_back(pager.Allocate());
     for (PageNo p : pages) {
       pool.Pin(p);
       pool.Unpin(p, false);
     }
+    // Pure hits: pin and unpin must both bypass the partition latch.
+    const uint64_t latches = pool.latch_acquisitions();
+    const uint64_t hits = pool.hits();
+    for (int round = 0; round < kRounds; ++round) {
+      for (PageNo p : pages) {
+        pool.Pin(p);
+        pool.Unpin(p, false);
+      }
+    }
+    EXPECT_EQ(pool.hits(), hits + kRounds * pages.size())
+        << EvictionPolicyName(kind);
+    EXPECT_EQ(pool.latch_acquisitions(), latches) << EvictionPolicyName(kind);
   }
-  EXPECT_EQ(pool.hits(), hits + 50 * pages.size());
-  EXPECT_EQ(pool.latch_acquisitions(), latches);
 }
 
 TEST(BufferPoolTest, ClockWriteBacksSurviveEviction) {
@@ -568,11 +618,8 @@ TEST(BufferPoolParallelTest, ConcurrentAllocatePinned) {
   EXPECT_EQ(pager.PageCount(), kThreads * kPerThread);
 }
 
-TEST(BufferPoolParallelTest, ClockConcurrentHitStress) {
-  // The CLOCK latch-free hit path under fire: threads race lock-free
-  // pins/unpins on a shared hot set against evictions (capacity is half
-  // the working set) and periodic FlushAll claims. Run under TSan; the
-  // per-thread counter pages also make any lost update visible.
+// The shared body of EveryPolicyConcurrentHitStress.
+void ConcurrentHitStress(EvictionPolicyKind kind) {
   constexpr uint32_t kThreads = 8;
   constexpr int kItersPerThread = 4000;
   constexpr PageNo kOwnPages = 24;  // per thread
@@ -581,7 +628,7 @@ TEST(BufferPoolParallelTest, ClockConcurrentHitStress) {
   Pager pager;
   std::atomic<uint64_t> observed{0};
   BufferPool pool(&pager, 128, [&](PageNo) { ++observed; },
-                  /*partitions=*/8, EvictionPolicyKind::kClock);
+                  /*partitions=*/8, kind);
 
   std::vector<PageNo> shared;
   for (PageNo i = 0; i < kSharedPages; ++i) {
@@ -654,6 +701,19 @@ TEST(BufferPoolParallelTest, ClockConcurrentHitStress) {
   // traffic: far fewer latch acquisitions than operations.
   EXPECT_GT(pool.hits(), 0u);
   EXPECT_LT(pool.latch_acquisitions(), pool.hits() + pool.misses());
+}
+
+TEST(BufferPoolParallelTest, EveryPolicyConcurrentHitStress) {
+  // The latch-free hit path under fire, for every policy: threads race
+  // lock-free pins/unpins (and, for LRU and 2Q, access-event pushes and
+  // their replay under the latch) on a shared hot set against evictions
+  // (capacity is half the working set) and periodic FlushAll claims. Run
+  // under TSan; the per-thread counter pages also make any lost update
+  // visible.
+  for (EvictionPolicyKind kind : kAllPolicies) {
+    SCOPED_TRACE(EvictionPolicyName(kind));
+    ConcurrentHitStress(kind);
+  }
 }
 
 }  // namespace
