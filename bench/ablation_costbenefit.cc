@@ -8,13 +8,19 @@
 // canonical formula is near age/greedy. Under skew both are mid-field.
 // This bench quantifies the difference and justifies the design note in
 // docs/POLICIES.md.
+//
+// Environment:
+//   LSS_BENCH_SCALE=N     multiply device size / run length (default 1)
+//   LSS_BENCH_SMOKE=1     one fill factor (0.8), for CI
+//   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/policies/cost_benefit_policy.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/table_printer.h"
 #include "workload/runner.h"
 #include "workload/zipfian_workload.h"
@@ -28,8 +34,9 @@ double RunWith(CostBenefitPolicy::Formula formula,
   StoreConfig cfg = base;
   ApplyVariantConfig(Variant::kCostBenefit, &cfg);
   Status st;
-  auto store = LogStructuredStore::Create(
-      cfg, std::make_unique<CostBenefitPolicy>(formula), &st);
+  auto store = ShardedStore::Create(
+      cfg, 1,
+      [formula] { return std::make_unique<CostBenefitPolicy>(formula); }, &st);
   if (store == nullptr) return -1;
   Rng rng(42);
   const uint64_t user_pages = bench::UserPagesFor(cfg, f);
@@ -40,11 +47,11 @@ double RunWith(CostBenefitPolicy::Formula formula,
   for (uint64_t i = 0; i < warm; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }
-  store->mutable_stats().ResetMeasurement();
+  store->ResetMeasurement();
   for (uint64_t i = 0; i < 12 * user_pages; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }
-  return store->stats().WriteAmplification();
+  return store->AggregatedStats().WriteAmplification();
 }
 
 void Run() {
@@ -52,7 +59,10 @@ void Run() {
   cfg.num_segments = 512 * bench::ScaleFactor();
   TablePrinter table({"workload", "F", "canonical(E*age/(2-E))",
                       "paper-literal((1-E)*age/E)"});
-  for (double f : {0.7, 0.8, 0.9}) {
+  const std::vector<double> fills = bench::SmokeMode()
+                                        ? std::vector<double>{0.8}
+                                        : std::vector<double>{0.7, 0.8, 0.9};
+  for (double f : fills) {
     const uint64_t user_pages = bench::UserPagesFor(cfg, f);
     UniformWorkload uni(user_pages);
     ZipfianWorkload zipf(user_pages, 0.99);

@@ -45,6 +45,30 @@ inline int64_t EnvInt(const char* name, int64_t def, int64_t min,
   return ParseEnvInt(name, s, min, max);
 }
 
+/// Upper bound of thread and shard counts read from the environment:
+/// ShardedStore's shard cap.
+inline constexpr int64_t kMaxThreads = 1024;
+
+/// A comma-separated list of integers, each parsed by ParseEnvInt (an
+/// empty element, e.g. "2,,4", is garbage too); `def` when the variable
+/// is unset or empty.
+inline std::vector<int64_t> EnvIntList(const char* name,
+                                       std::vector<int64_t> def, int64_t min,
+                                       int64_t max) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return def;
+  std::vector<int64_t> out;
+  const std::string list(s);
+  size_t begin = 0;
+  while (true) {
+    const size_t comma = list.find(',', begin);
+    out.push_back(ParseEnvInt(name, list.substr(begin, comma - begin).c_str(),
+                              min, max));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
+  }
+}
+
 /// LSS_BENCH_SMOKE set to anything but "" or "0" asks a bench for its
 /// CI-sized run: each bench that has one shrinks its own sweep (fewer
 /// panels, fill factors or transactions).

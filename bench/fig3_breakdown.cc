@@ -4,8 +4,14 @@
 // the §3 slack-division model. Expected shape: all policies equal near
 // 50-50; under skew greedy degrades most, each MDC optimisation closes
 // part of the gap, and MDC-opt tracks opt.
+//
+// Environment:
+//   LSS_BENCH_SCALE=N     multiply device size / run length (default 1)
+//   LSS_BENCH_SMOKE=1     one skew (80-20), for CI
+//   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "analysis/hotcold_model.h"
@@ -17,7 +23,9 @@ namespace lss {
 namespace {
 
 void Run() {
-  const double skews[] = {0.5001, 0.6, 0.7, 0.8, 0.9};
+  const std::vector<double> skews =
+      bench::SmokeMode() ? std::vector<double>{0.8}
+                         : std::vector<double>{0.5001, 0.6, 0.7, 0.8, 0.9};
   const std::vector<Variant> lines = {
       Variant::kGreedy, Variant::kMdcNoSepUserGc, Variant::kMdcNoSepUser,
       Variant::kMdc, Variant::kMdcOpt};

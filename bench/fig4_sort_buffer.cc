@@ -8,8 +8,14 @@
 // 51200-segment device (2% of the device). Our default device is 1024
 // segments, so the sweep stops at 64 segments (~6%) — already past the
 // knee; LSS_BENCH_SCALE enlarges the device and the sweep.
+//
+// Environment:
+//   LSS_BENCH_SCALE=N     multiply device size / run length (default 1)
+//   LSS_BENCH_SMOKE=1     one buffer size (16 segments), for CI
+//   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "util/table_printer.h"
@@ -22,7 +28,10 @@ namespace {
 void Run() {
   const double f = 0.8;
   StoreConfig cfg = bench::DefaultConfig();
-  const uint32_t buffers[] = {0, 1, 4, 16, 64, 256, 1024};
+  const std::vector<uint32_t> buffers =
+      bench::SmokeMode()
+          ? std::vector<uint32_t>{16}
+          : std::vector<uint32_t>{0, 1, 4, 16, 64, 256, 1024};
 
   TablePrinter table({"buffer(segments)", "Wamp", "E(clean)"});
   const uint64_t user_pages = bench::UserPagesFor(cfg, f);

@@ -17,8 +17,8 @@
 //   LSS_BENCH_SCALE=N     multiply warehouses / transaction counts
 //   LSS_BENCH_THREADS=N   worker threads for trace generation AND shards
 //                         for trace replay (default 1 = the serial
-//                         pipeline; replay at N>1 runs RunTraceParallel
-//                         over an N-shard store)
+//                         pipeline; replay at N>1 runs over an N-shard
+//                         store)
 //   LSS_BENCH_SMOKE=1     tiny cardinality + one fill factor, for CI
 //   LSS_BENCH_NO_CACHE=1  always regenerate the trace
 //   LSS_BENCH_POOL=p      buffer-pool policy for generation (lru|clock|2q;
@@ -41,16 +41,11 @@ namespace lss {
 namespace {
 
 // Generation workers / replay shards (LSS_BENCH_THREADS; first value if
-// a sweep list is given, since fig6 runs one configuration). The value
-// is parsed strictly: garbage exits(2) instead of clamping to 1.
+// a sweep list is given, since fig6 runs one configuration). The list is
+// parsed strictly: garbage exits(2) instead of clamping to 1.
 uint32_t BenchThreads() {
-  const char* env = std::getenv("LSS_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  std::string first(env);
-  const size_t comma = first.find(',');
-  if (comma != std::string::npos) first.resize(comma);
   return static_cast<uint32_t>(
-      bench::ParseEnvInt("LSS_BENCH_THREADS", first.c_str(), 1, 4096));
+      bench::EnvIntList("LSS_BENCH_THREADS", {1}, 1, bench::kMaxThreads)[0]);
 }
 
 // Trace generation dominates this bench's runtime, so the generated
@@ -167,8 +162,7 @@ CachedTrace GenerateOrLoadTrace(const tpcc::TpccConfig& tc,
   if (cache_enabled && LoadMeta(meta_path, &out.gen) &&
       out.gen.trace.LoadFrom(trace_path) && !out.gen.trace.Empty()) {
     // The per-shard sub-traces ride in sibling files; a damaged or
-    // missing one just forfeits the fast path (the router re-derives the
-    // same routing from the main trace).
+    // missing one just makes each replay split the main trace itself.
     if (out.gen.presplit.shards == presplit_shards &&
         presplit_shards > 0) {
       out.gen.presplit.sub.resize(presplit_shards);
@@ -344,17 +338,8 @@ void Run() {
     std::vector<TablePrinter::Cell> row;
     row.emplace_back(f, 2);
     for (Variant v : lines) {
-      RunResult r;
-      double replay_seconds = 0.0;
-      if (replay_shards > 1) {
-        const ParallelRunResult pr = RunTraceParallel(
-            cfg, v, gen.trace, gen.measure_from, replay_shards,
-            gen.presplit.Valid() ? &gen.presplit : nullptr);
-        r = pr.result;
-        replay_seconds = pr.measure_seconds;
-      } else {
-        r = RunTrace(cfg, v, gen.trace, gen.measure_from);
-      }
+      const RunResult r = RunTrace(cfg, v, gen.trace, gen.measure_from,
+                                   replay_shards, &gen.presplit);
       if (!r.status.ok()) {
         std::fprintf(stderr, "%s F=%.2f failed: %s\n", VariantName(v).c_str(),
                      f, r.status.ToString().c_str());
@@ -370,14 +355,14 @@ void Run() {
             .Num("measured_updates", r.measured_updates)
             .Num("effective_fill", r.effective_fill)
             .Num("threads", static_cast<uint64_t>(threads));
-        if (replay_shards > 1) json.Num("replay_seconds", replay_seconds);
+        if (replay_shards > 1) json.Num("replay_seconds", r.measure_seconds);
         bench::Emit(json);
       }
     }
     table.AddRow(std::move(row));
   }
   if (replay_shards > 1) {
-    std::printf("replay: RunTraceParallel over %u shards (per-page order "
+    std::printf("replay: RunTrace over %u shards (per-page order "
                 "preserved; Wamp is the per-shard-cleaned aggregate)\n\n",
                 replay_shards);
   }

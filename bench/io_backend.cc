@@ -45,7 +45,7 @@
 
 #include "bench/bench_common.h"
 #include "core/io_backend.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "workload/runner.h"
@@ -219,22 +219,19 @@ void SealPipelinePanel(double fill, const std::string& dir) {
       RunSpec run = bench::DefaultSpec(fill);
       run.warmup_multiplier = 4;
       run.measure_multiplier = 6;
-      const ParallelRunResult pr =
-          RunSyntheticParallel(cfg, Variant::kMdc, workload, run,
-                               /*threads=*/1, /*shards=*/1);
+      const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, run);
       const std::string label = spec.substr(0, spec.find(':'));
-      if (!pr.result.status.ok()) {
+      if (!r.status.ok()) {
         std::fprintf(stderr, "%s/%s failed: %s\n", m.label, label.c_str(),
-                     pr.result.status.ToString().c_str());
+                     r.status.ToString().c_str());
         continue;
       }
-      const RunResult& r = pr.result;
       std::vector<TablePrinter::Cell> row;
       row.emplace_back(m.label);
       row.emplace_back(label);
       row.emplace_back(r.wamp, 3);
-      row.emplace_back(pr.updates_per_second / 1000.0, 1);
-      row.emplace_back(pr.measure_seconds, 2);
+      row.emplace_back(r.updates_per_second / 1000.0, 1);
+      row.emplace_back(r.measure_seconds, 2);
       row.emplace_back(r.backend_blocking_seconds * 1000.0, 1);
       row.emplace_back(
           static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0), 1);
@@ -252,8 +249,8 @@ void SealPipelinePanel(double fill, const std::string& dir) {
           .Str("variant", r.variant)
           .Num("fill", fill)
           .Num("wamp", r.wamp)
-          .Num("updates_per_second", pr.updates_per_second)
-          .Num("measure_seconds", pr.measure_seconds)
+          .Num("updates_per_second", r.updates_per_second)
+          .Num("measure_seconds", r.measure_seconds)
           .Num("backend_blocking_seconds", r.backend_blocking_seconds)
           .Num("uring_available", r.uring_available)
           .Num("uring_submitted", r.uring_submitted)
@@ -299,9 +296,8 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
   BarrierRun out;
   StoreConfig store_cfg = cfg;
   ApplyVariantConfig(Variant::kMdc, &store_cfg);
-  auto store = LogStructuredStore::Create(store_cfg,
-                                          MakePolicy(Variant::kMdc),
-                                          &out.status);
+  auto store = ShardedStore::Create(
+      store_cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &out.status);
   if (store == nullptr) return out;
   store->SetExactFrequencyOracle(
       [&workload](PageId p) { return workload.ExactFrequency(p); });
@@ -330,7 +326,7 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
   store->ResetMeasurement();
   out.status = run_updates(4 * user_pages);
   if (!out.status.ok()) return out;
-  out.stats = store->StatsSnapshot();
+  out.stats = store->AggregatedStats();
   out.wamp = out.stats.WriteAmplification();
   return out;
 }

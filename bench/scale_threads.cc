@@ -5,8 +5,8 @@
 //
 // What to expect: write amplification is a property of the write pattern
 // (paper §6.1.1 — device size does not affect Wamp), so the aggregate and
-// per-shard Wamp should sit within a few percent of the single-threaded
-// LogStructuredStore baseline at every thread count — sharding must not
+// per-shard Wamp should sit within a few percent of the single-threaded,
+// single-shard baseline at every thread count — sharding must not
 // change the *quality* of cleaning, only its parallelism. Throughput
 // should scale with threads on multi-core hardware (shards > threads
 // keeps routing collisions low); on a single core the sweep degenerates
@@ -14,12 +14,12 @@
 //
 // Environment:
 //   LSS_BENCH_SCALE=N    multiply device size / run length (default 1)
-//   LSS_BENCH_SHARDS=N   shard count (default 4)
-//   LSS_BENCH_THREADS=a,b,c  thread counts to sweep (default 1,2,4,8)
+//   LSS_BENCH_SHARDS=N   shard count (default 4, at most 1024)
+//   LSS_BENCH_THREADS=a,b,c  thread counts to sweep (default 1,2,4,8;
+//                        each in [1, 1024])
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,31 +31,13 @@
 namespace lss {
 namespace {
 
-std::vector<uint32_t> ThreadSweep() {
-  const char* env = std::getenv("LSS_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return {1, 2, 4, 8};
-  std::vector<uint32_t> out;
-  const char* p = env;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (v >= 1) out.push_back(static_cast<uint32_t>(v));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return out.empty() ? std::vector<uint32_t>{1, 2, 4, 8} : out;
-}
-
-uint32_t ShardCount() {
-  const char* env = std::getenv("LSS_BENCH_SHARDS");
-  if (env == nullptr) return 4;
-  const long v = std::strtol(env, nullptr, 10);
-  return v < 1 ? 4 : static_cast<uint32_t>(v);
-}
-
 void Run() {
   const StoreConfig cfg = bench::DefaultConfig();
-  const uint32_t shards = ShardCount();
+  const uint32_t shards = static_cast<uint32_t>(
+      bench::EnvInt("LSS_BENCH_SHARDS", 4, 1, bench::kMaxThreads));
+  const std::vector<int64_t> sweep =
+      bench::EnvIntList("LSS_BENCH_THREADS", {1, 2, 4, 8}, 1,
+                        bench::kMaxThreads);
   const double fill = 0.75;
   const uint64_t user_pages = bench::UserPagesFor(cfg, fill);
   UniformWorkload workload(user_pages);
@@ -69,7 +51,7 @@ void Run() {
       shards, fill, static_cast<unsigned long long>(user_pages),
       bench::ScaleFactor());
 
-  // Single-threaded LogStructuredStore baseline: the Wamp reference the
+  // Single-threaded, single-shard baseline: the Wamp reference the
   // per-shard spread is judged against.
   const RunResult baseline = RunSynthetic(cfg, Variant::kMdc, workload, spec);
   if (!baseline.status.ok()) {
@@ -83,12 +65,13 @@ void Run() {
   TablePrinter table({"threads", "sec", "Mupd/s", "speedup", "Wamp",
                       "shard Wamp min", "shard Wamp max", "spread vs base"});
   double base_rate = 0.0;
-  for (uint32_t threads : ThreadSweep()) {
-    const ParallelRunResult r = RunSyntheticParallel(
-        cfg, Variant::kMdc, workload, spec, threads, shards);
-    if (!r.result.status.ok()) {
+  for (int64_t n : sweep) {
+    const uint32_t threads = static_cast<uint32_t>(n);
+    const RunResult r =
+        RunSynthetic(cfg, Variant::kMdc, workload, spec, threads, shards);
+    if (!r.status.ok()) {
       std::fprintf(stderr, "%u threads failed: %s\n", threads,
-                   r.result.status.ToString().c_str());
+                   r.status.ToString().c_str());
       continue;
     }
     double wmin = r.shard_wamp.empty() ? 0.0 : r.shard_wamp[0];
@@ -110,7 +93,7 @@ void Run() {
     row.emplace_back(r.measure_seconds, 2);
     row.emplace_back(r.updates_per_second / 1e6, 3);
     row.emplace_back(base_rate > 0 ? r.updates_per_second / base_rate : 0.0, 2);
-    row.emplace_back(r.result.wamp, 4);
+    row.emplace_back(r.wamp, 4);
     row.emplace_back(wmin, 4);
     row.emplace_back(wmax, 4);
     row.emplace_back(std::string(TablePrinter::Cell(100.0 * spread, 1).text) +
@@ -121,7 +104,7 @@ void Run() {
                     .Num("shards", static_cast<uint64_t>(shards))
                     .Num("measure_seconds", r.measure_seconds)
                     .Num("updates_per_second", r.updates_per_second)
-                    .Num("wamp", r.result.wamp)
+                    .Num("wamp", r.wamp)
                     .Num("baseline_wamp", baseline.wamp)
                     .Num("shard_wamp_min", wmin)
                     .Num("shard_wamp_max", wmax)

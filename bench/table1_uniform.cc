@@ -5,8 +5,14 @@
 // ("MDC-opt is the simulation result for the minimum declining cost
 // algorithm"). Analysis and simulation agreeing to ~2 significant digits
 // is the paper's §8.1 validation.
+//
+// Environment:
+//   LSS_BENCH_SCALE=N     multiply device size / run length (default 1)
+//   LSS_BENCH_SMOKE=1     one fill factor (0.8), for CI
+//   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <cstdio>
+#include <vector>
 
 #include "analysis/uniform_model.h"
 #include "bench/bench_common.h"
@@ -20,8 +26,11 @@ void Run() {
   // The paper's Table 1 fill factors. Very high fill factors need the
   // most updates to stabilise; the default multipliers suffice at bench
   // scale.
-  const double fills[] = {.975, .95, .90, .85, .80, .75, .70, .65, .60,
-                          .55,  .50, .45, .40, .35, .30, .25, .20};
+  const std::vector<double> fills =
+      bench::SmokeMode()
+          ? std::vector<double>{.80}
+          : std::vector<double>{.975, .95, .90, .85, .80, .75, .70, .65, .60,
+                                .55,  .50, .45, .40, .35, .30, .25, .20};
 
   TablePrinter table(
       {"F", "1-F", "E(analytic)", "MDC-opt(sim)", "Cost", "R", "Wamp",

@@ -19,8 +19,11 @@
 #             (BoundedMpscQueueParallel*), the
 #             latch-coupled B+-tree (BTreeParallel*: N-writer/M-reader
 #             stress and delete-churn over one shared tree), the
-#             multi-worker TPC-C engine (TpccParallel*) and parallel
-#             trace replay (TraceReplayParallel*).
+#             multi-worker TPC-C engine (TpccParallel*), the
+#             multi-thread runner (ShardedStoreTest.ParallelRun*,
+#             ShardedStoreTest.OneThreadRunSyntheticGolden) and
+#             parallel trace replay (TraceReplayParallel*: per-page
+#             order, the 1- and 4-shard golden pins, deletes + oracle).
 #   --asan:   rebuild with -fsanitize=address,undefined in ./build-asan
 #             (or the given build dir) and run the FULL test suite — the
 #             memory-safety gate for the raw-I/O backend (pwrite buffers,
@@ -158,7 +161,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Small-scale parallel TPC-C smoke: 2-worker trace generation, replay
-# through RunTraceParallel over 2 shards, machine-readable output — the
+# through RunTrace over 2 shards, machine-readable output — the
 # end-to-end gate for the concurrent fig6 pipeline (seconds, not
 # minutes; the full bench is LSS_BENCH_SCALE/LSS_BENCH_THREADS).
 if [[ -x "$BUILD_DIR/bench/fig6_tpcc" ]]; then
@@ -269,6 +272,32 @@ if [[ -x "$BUILD_DIR/bench/scale_threads" ]]; then
     exit 1
   fi
   echo "check.sh: scale_threads smoke green (Wamp $wamp1 / $wamp4)"
+fi
+
+# Paper-reproduction bench smokes: every table/figure bench and the
+# cost-benefit ablation at one fill factor, skew or buffer size
+# (LSS_BENCH_SMOKE), so a harness crash in any of them fails here. Each
+# run must emit its JSON row.
+for bench in table1_uniform table2_hotcold fig3_breakdown fig4_sort_buffer \
+             fig5_synthetic ablation_costbenefit; do
+  if [[ -x "$BUILD_DIR/bench/$bench" ]]; then
+    LSS_BENCH_SMOKE=1 LSS_BENCH_JSON="$BUILD_DIR/${bench}_smoke.json" \
+      "$BUILD_DIR/bench/$bench"
+    grep -q "\"bench\":\"$bench\"" "$BUILD_DIR/${bench}_smoke.json"
+    echo "check.sh: $bench smoke green"
+  fi
+done
+
+# Store micro-bench smoke: one short repetition of each micro_core case.
+if [[ -x "$BUILD_DIR/bench/micro_core" ]]; then
+  "$BUILD_DIR/bench/micro_core" \
+    --benchmark_min_time=0.01 \
+    --benchmark_out="$BUILD_DIR/micro_core_smoke.json" \
+    --benchmark_out_format=json
+  for bm in BM_StoreWrite BM_VictimSelection; do
+    grep -q "\"name\": \"$bm/" "$BUILD_DIR/micro_core_smoke.json"
+  done
+  echo "check.sh: micro_core smoke green"
 fi
 
 echo "check.sh: all green"

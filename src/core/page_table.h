@@ -49,8 +49,7 @@ struct PageMeta {
 /// Concurrency contract: the table's *structure* (growth, lookup) is safe
 /// from any thread. The PageMeta *fields* are not synchronised here: all
 /// accesses to a page's meta must be serialised by the page's owner (in a
-/// ShardedStore, the owning shard's lock; in a LogStructuredStore, the
-/// single-threaded caller).
+/// ShardedStore, the owning shard's lock).
 class PageTable {
  public:
   static constexpr uint32_t kChunkBits = 12;

@@ -63,9 +63,9 @@ using BackendFactory =
 /// is the global Wamp while shard(i).stats() exposes the per-shard view
 /// (bench/scale_threads.cc reports the spread).
 ///
-/// A 1-shard ShardedStore executes the exact instruction sequence of a
-/// LogStructuredStore (same StoreShard code, same routing), which the
-/// determinism test pins down bit-for-bit.
+/// A 1-shard ShardedStore is the paper's single-log simulator: one
+/// StoreShard owning the whole device, driven from one thread. The
+/// golden-counter tests pin its results bit for bit.
 class ShardedStore {
  public:
   /// Creates a store with `num_shards` shards, giving each shard

@@ -9,7 +9,6 @@
 #include "core/config.h"
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/store.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
 
@@ -28,7 +27,7 @@ struct RunSpec {
   uint64_t seed = 42;
 };
 
-/// Outcome of a run.
+/// Outcome of a run. Counters are aggregated across the store's shards.
 struct RunResult {
   Status status;
   /// Measured write amplification (Equation 2).
@@ -97,20 +96,10 @@ struct RunResult {
   uint64_t segments_cleaned = 0;
   /// Entries persisted under re-homing records during measurement.
   uint64_t rehome_entries_written = 0;
-};
 
-/// Builds a store for `variant` (applying its placement conventions to
-/// `config`), installs the generator's exact-frequency oracle when the
-/// variant needs one, and runs load -> warm-up -> measure with updates
-/// drawn from `workload`. The store is destroyed on return.
-RunResult RunSynthetic(const StoreConfig& config, Variant variant,
-                       const WorkloadGenerator& workload, const RunSpec& spec);
+  // --- Run shape and timing --------------------------------------------
 
-/// Outcome of a parallel run over a ShardedStore.
-struct ParallelRunResult {
-  /// Aggregated view (status, write amplification, emptiness, fill),
-  /// merged across shards — same fields as a single-threaded run.
-  RunResult result;
+  /// Client threads (trace replay: one per shard) and store shards.
   uint32_t threads = 0;
   uint32_t shards = 0;
   /// Wall-clock seconds spent in the measurement phase.
@@ -121,70 +110,54 @@ struct ParallelRunResult {
   std::vector<double> shard_wamp;
 };
 
-/// Parallel counterpart of RunSynthetic: a ShardedStore with `shards`
-/// shards (0 means one per thread) hammered by `threads` worker threads.
-/// Each thread draws updates from `workload` with its own deterministic
-/// RNG stream (seed + thread id), so a run with threads == 1 and
-/// shards == 1 executes the exact update sequence of RunSynthetic and
-/// reproduces its write amplification bit-for-bit — the determinism the
-/// sharded-store tests pin down. The measurement phase is timed, giving
-/// the throughput numbers bench/scale_threads.cc sweeps.
-ParallelRunResult RunSyntheticParallel(const StoreConfig& config,
-                                       Variant variant,
-                                       const WorkloadGenerator& workload,
-                                       const RunSpec& spec, uint32_t threads,
-                                       uint32_t shards = 0);
+/// Builds a ShardedStore for `variant` (applying its placement
+/// conventions to `config`) with `shards` shards (0 means one per
+/// thread), installs the generator's exact-frequency oracle when the
+/// variant needs one, and runs load -> warm-up -> measure with `threads`
+/// worker threads drawing updates from `workload`. The store is destroyed
+/// on return.
+///
+/// Each thread draws from its own deterministic RNG stream; thread 0 uses
+/// `spec.seed` unchanged. With one thread the workers run inline on the
+/// caller's thread, so a 1-thread, 1-shard run is the paper's
+/// single-threaded simulator (§6.1.1) and fully deterministic; the golden
+/// pins in the tests hold it to fixed counters. The measurement phase is
+/// timed, giving the throughput numbers bench/scale_threads.cc sweeps.
+RunResult RunSynthetic(const StoreConfig& config, Variant variant,
+                       const WorkloadGenerator& workload, const RunSpec& spec,
+                       uint32_t threads = 1, uint32_t shards = 0);
 
-/// Replays `trace` through a store for `variant`. Records before
+/// Replays `trace` through a ShardedStore with `shards` shards, one
+/// replay thread per shard (ReplayTraceParallel). Records before
 /// `measure_from` (e.g. the population phase) run as warm-up; measurement
 /// covers [measure_from, end). When the variant needs an oracle the
 /// frequencies are pre-analysed from the measured suffix of the trace, as
 /// the paper does for TPC-C (§6.3). `config` supplies the device geometry
-/// (choose num_segments to hit the desired fill factor).
+/// (choose num_segments to hit the desired fill factor). `presplit` is
+/// an optional SplitTrace of `trace` to reuse across replays.
 RunResult RunTrace(const StoreConfig& config, Variant variant,
-                   const Trace& trace, size_t measure_from);
+                   const Trace& trace, size_t measure_from,
+                   uint32_t shards = 1,
+                   const ShardedTrace* presplit = nullptr);
 
-/// Parallel trace replay: the trace streams through a ShardedStore with
-/// `shards` shards and one replay thread per shard. A single router
-/// thread walks the trace in order and appends each record to the
-/// owning shard's bounded FIFO queue (batched, with backpressure), so
-/// every shard applies exactly the subsequence of records routed to it,
-/// in trace order — and since a page maps to exactly one shard, per-page
-/// operation order is preserved. A shard's state evolution depends only
-/// on its own op subsequence, so a parallel replay produces bit-for-bit
+/// The replay engine under RunTrace, operating on a caller-created store
+/// (which the caller can then inspect). Each shard's replay thread
+/// streams the subsequence of records PageShard routes to that shard, in
+/// trace order; since a page maps to exactly one shard, per-page
+/// operation order is preserved, and a shard's state evolution depends
+/// only on its own subsequence. So a parallel replay produces bit for bit
 /// the per-shard stats and final page states of a serial replay of the
-/// same trace through an equally-sharded store (the determinism test
-/// pins this; with shards == 1 that serial store is RunTrace's).
+/// same trace through an equally-sharded store (the determinism test pins
+/// this).
 ///
-/// Measurement parity with RunTrace: the router injects a reset marker
-/// at the measure_from boundary of each shard's queue, so per-shard
-/// counters cover exactly the records with global index >= measure_from.
-/// Timing starts when the router crosses measure_from (warm-up records
-/// still in flight then are bounded by the queue depth) and ends when
-/// the last shard drains, giving the updates_per_second throughput
-/// numbers alongside RunSyntheticParallel's.
-///
-/// `presplit` (optional) is a ShardedTrace computed once by SplitTrace —
-/// when its shard count matches, replay takes the zero-router fast path:
-/// each shard thread streams its own pre-split sub-trace directly, with
-/// no routing work, no queue hand-offs and no backpressure stalls. The
-/// per-shard record subsequences are identical to what the router would
-/// deliver, so results are bit-for-bit the same (the parity test pins
-/// this); only the measurement clock differs — the fast path starts it
-/// at a clean barrier once every shard has applied its warm-up records.
-ParallelRunResult RunTraceParallel(const StoreConfig& config, Variant variant,
-                                   const Trace& trace, size_t measure_from,
-                                   uint32_t shards,
-                                   const ShardedTrace* presplit = nullptr);
-
-/// The replay engine under RunTraceParallel, operating on a
-/// caller-created store (which the caller can then inspect — the
-/// determinism tests compare per-page final state against a serial
-/// replay). Runs router + per-shard replay threads as described above
-/// (or the pre-split fast path when `presplit` matches);
-/// `measure_seconds_out` (optional) receives the wall-clock time from
-/// the measure_from boundary to the last shard draining. Returns the
-/// first store error.
+/// The subsequences come from `presplit` when its shard count matches the
+/// store's; otherwise the trace is split here (SplitTrace). A 1-shard
+/// store replays `trace`'s own records, on the caller's thread. A barrier
+/// at the measurement boundary lets every shard finish its warm-up
+/// records; then each shard resets its counters and applies its measured
+/// suffix. `measure_seconds_out` (optional) receives the wall-clock time
+/// from that barrier to the last shard finishing. Returns the first store
+/// error.
 Status ReplayTraceParallel(ShardedStore* store, const Trace& trace,
                            size_t measure_from,
                            double* measure_seconds_out = nullptr,

@@ -1,6 +1,7 @@
 #include "bench/bench_common.h"
 
 #include <cstdlib>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +73,32 @@ TEST(BenchEnvTest, EnvIntEnforcesBounds) {
   g.Set("99999999999999999999");  // out of long long range
   EXPECT_EXIT(EnvInt("LSS_BENCH_TEST_KNOB", 7, 0, 100),
               ::testing::ExitedWithCode(2), "LSS_BENCH_TEST_KNOB");
+}
+
+TEST(BenchEnvTest, EnvIntListParsesAndDefaults) {
+  EnvGuard g("LSS_BENCH_THREADS");
+  EXPECT_EQ(EnvIntList("LSS_BENCH_THREADS", {1, 2}, 1, kMaxThreads),
+            (std::vector<int64_t>{1, 2}));
+  g.Set("1,4");
+  EXPECT_EQ(EnvIntList("LSS_BENCH_THREADS", {1, 2}, 1, kMaxThreads),
+            (std::vector<int64_t>{1, 4}));
+  g.Set("1024");
+  EXPECT_EQ(EnvIntList("LSS_BENCH_THREADS", {1, 2}, 1, kMaxThreads),
+            (std::vector<int64_t>{1024}));
+}
+
+TEST(BenchEnvTest, EnvIntListRejectsGarbageNamingTheVariable) {
+  // Regression: the thread sweep used a bare strtol, so "4x" ran 4
+  // threads, "fast" and "0" fell back to the default sweep, and values
+  // past 2^32 wrapped. Only the parser runs here; no thread is started.
+  EnvGuard g("LSS_BENCH_THREADS");
+  for (const char* bad : {"4x", "fast", "0", "2,,4", "1025", "4,", ",4",
+                          "4294967297"}) {
+    SCOPED_TRACE(bad);
+    g.Set(bad);
+    EXPECT_EXIT(EnvIntList("LSS_BENCH_THREADS", {1}, 1, kMaxThreads),
+                ::testing::ExitedWithCode(2), "LSS_BENCH_THREADS");
+  }
 }
 
 }  // namespace

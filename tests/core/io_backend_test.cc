@@ -14,7 +14,6 @@
 
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/store.h"
 #include "core/uring_backend.h"
 #include "util/rng.h"
 
@@ -33,6 +32,20 @@ StoreConfig SmallConfig() {
   c.separate_user_writes = false;
   c.separate_gc_writes = false;
   return c;
+}
+
+PolicyFactory FactoryFor(Variant v) {
+  return [v] { return MakePolicy(v); };
+}
+
+// A 1-shard store over `backend` (how these tests inject faults).
+std::unique_ptr<ShardedStore> CreateWithBackend(
+    const StoreConfig& cfg, Variant v,
+    std::unique_ptr<SegmentBackend> backend) {
+  auto owned =
+      std::make_shared<std::unique_ptr<SegmentBackend>>(std::move(backend));
+  return ShardedStore::Create(cfg, 1, FactoryFor(v), nullptr,
+                              [owned](uint32_t) { return std::move(*owned); });
 }
 
 // A scratch directory per test, removed (with its shard files) on exit.
@@ -135,7 +148,7 @@ TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   auto run = [](const StoreConfig& cfg) {
     StoreConfig c2 = cfg;
     ApplyVariantConfig(Variant::kMdc, &c2);
-    auto store = LogStructuredStore::Create(c2, MakePolicy(Variant::kMdc));
+    auto store = ShardedStore::Create(c2, 1, FactoryFor(Variant::kMdc));
     EXPECT_NE(store, nullptr);
     for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
     Rng rng(11);
@@ -146,8 +159,8 @@ TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   };
   auto null_store = run(SmallConfig());
   auto file_store = run(FileConfig());
-  const StoreStats& a = null_store->stats();
-  const StoreStats& b = file_store->stats();
+  const StoreStats& a = null_store->shard(0).stats();
+  const StoreStats& b = file_store->shard(0).stats();
   EXPECT_EQ(a.user_updates, b.user_updates);
   EXPECT_EQ(a.user_pages_written, b.user_pages_written);
   EXPECT_EQ(a.gc_pages_written, b.gc_pages_written);
@@ -169,7 +182,7 @@ TEST_F(IoBackendTest, WriteCloseReopenRecoversEverything) {
   Rng rng(3);
   std::vector<uint32_t> expect(48, 0);  // page -> live size (0 = absent)
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     // Churn with variable sizes and deletes so recovery must resolve
     // overwritten versions, GC moves and tombstones.
@@ -191,7 +204,7 @@ TEST_F(IoBackendTest, WriteCloseReopenRecoversEverything) {
   }
 
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   for (PageId p = 0; p < expect.size(); ++p) {
@@ -217,23 +230,23 @@ TEST_F(IoBackendTest, ReopenPreservesFrequencyClocks) {
   const StoreConfig cfg = FileConfig();
   UpdateCount unow_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     for (PageId p = 0; p < 24; ++p) ASSERT_TRUE(store->Write(p).ok());
     Rng rng(5);
     for (int i = 0; i < 500; ++i) {
       ASSERT_TRUE(store->Write(rng.NextBounded(24)).ok());
     }
-    unow_before = store->unow();
+    unow_before = store->shard(0).unow();
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy));
   ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->unow(), unow_before);
+  EXPECT_EQ(store->shard(0).unow(), unow_before);
   // last_update survived, so the up2-based frequency estimate works
   // immediately (nonzero for a page updated before close).
   ASSERT_TRUE(store->Write(999).ok());  // ticks unow past last_update
-  EXPECT_GT(store->EstimateUpf(0), 0.0);
+  EXPECT_GT(store->shard(0).EstimateUpf(0), 0.0);
 }
 
 TEST_F(IoBackendTest, ShardedStoreReopensAcrossShards) {
@@ -297,16 +310,16 @@ TEST_F(IoBackendTest, ShardCountMismatchIsDetected) {
 
 TEST_F(IoBackendTest, OpenWithoutDurableStateFails) {
   Status st;
-  auto store = LogStructuredStore::Open(FileConfig(),
-                                        MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(FileConfig(), 1,
+                                        FactoryFor(Variant::kGreedy), &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kNotFound);
 }
 
 TEST(IoBackendPlainTest, OpenWithNullBackendIsRejected) {
   Status st;
-  auto store = LogStructuredStore::Open(SmallConfig(),
-                                        MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(SmallConfig(), 1,
+                                        FactoryFor(Variant::kGreedy), &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
 }
@@ -318,7 +331,7 @@ TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
   cfg.backend_direct_io = true;
   ASSERT_TRUE(cfg.Validate().ok());
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(13);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -327,7 +340,7 @@ TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
     }
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy));
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), 32u);
@@ -338,13 +351,13 @@ TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
   cfg.write_buffer_segments = 2;
   ApplyVariantConfig(Variant::kMdc, &cfg);
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kMdc));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kMdc));
     ASSERT_NE(store, nullptr);
     // Leave writes in the buffer: Close must drain and persist them.
     for (PageId p = 0; p < 5; ++p) ASSERT_TRUE(store->Write(p).ok());
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kMdc));
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kMdc));
   ASSERT_NE(store, nullptr);
   for (PageId p = 0; p < 5; ++p) {
     EXPECT_TRUE(store->Contains(p)) << p;
@@ -356,7 +369,7 @@ TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
 TEST_F(IoBackendTest, ReadPageRequiresSealedSegment) {
   StoreConfig cfg = FileConfig();
   cfg.write_buffer_segments = 2;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kMdc));
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kMdc));
   ASSERT_NE(store, nullptr);
   ASSERT_TRUE(store->Write(1).ok());
   std::vector<uint8_t> data;
@@ -374,7 +387,7 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(17);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -401,7 +414,7 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   }
   // First reopen: the tail is discarded (and truncated off the file).
   {
-    auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     EXPECT_TRUE(store->CheckInvariants().ok());
     EXPECT_EQ(store->LivePageCount(), live_before);
@@ -413,7 +426,7 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   }
   // ...must itself survive a second reopen (stale pre-crash bytes past
   // the truncation point must not resurface as records).
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy));
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -586,7 +599,7 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(23);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -601,7 +614,7 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   {
     Status st;
     auto store =
-        LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+        ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
     ASSERT_NE(store, nullptr) << st.ToString();
     EXPECT_TRUE(store->CheckInvariants().ok());
     EXPECT_EQ(store->LivePageCount(), live_before);
@@ -611,7 +624,7 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   // A format newer than this reader must refuse loudly, not truncate.
   PatchGeometryFormat(dir_, 99);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
@@ -622,7 +635,7 @@ TEST_F(IoBackendTest, CheckpointFormatMetadataLogStillRecovers) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(31);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -639,7 +652,7 @@ TEST_F(IoBackendTest, CheckpointFormatMetadataLogStillRecovers) {
 
   PatchGeometryFormat(dir_, 1);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -657,7 +670,7 @@ TEST_F(IoBackendTest, RehomeFormatMetadataLogStillRecovers) {
   cfg.checkpoint_delta = false;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(41);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -674,7 +687,7 @@ TEST_F(IoBackendTest, RehomeFormatMetadataLogStillRecovers) {
 
   PatchGeometryFormat(dir_, 2);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -842,7 +855,7 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   StoreConfig cfg = FileConfig();
   cfg.checkpoint_interval_ops = 1u << 30;  // only explicit barriers
   cfg.checkpoint_delta = true;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
   ASSERT_NE(store, nullptr);
 
   // Two pages into a 4-page segment, then a barrier: the chain starts
@@ -850,20 +863,20 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Write(0).ok());
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  StoreStats s = store->StatsSnapshot();
+  StoreStats s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 0u);
 
   // One more page: the next barrier extends the chain with a delta.
   ASSERT_TRUE(store->Write(2).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
   // An unchanged open segment is already covered: barrier is a no-op.
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
@@ -872,7 +885,7 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Write(3).ok());
   ASSERT_TRUE(store->Write(0).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 2u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
@@ -880,7 +893,7 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Close().ok());
   Status st;
   auto reopened =
-      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+      ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   EXPECT_EQ(reopened->LivePageCount(), 4u);
@@ -944,7 +957,7 @@ TEST_F(IoBackendTest, MixedVersionUpgradeLogRecoversNewestWins) {
   const StoreConfig cfg = FileConfig(/*fsync=*/true);
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(37);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -983,7 +996,7 @@ TEST_F(IoBackendTest, MixedVersionUpgradeLogRecoversNewestWins) {
   // win their equal-seq ties by ordinal and get materialised into a
   // fresh slot; nothing is lost, everything stays readable.
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -1001,8 +1014,7 @@ TEST_F(IoBackendTest, CrashAfterOpsTearsFilesAndKillsBackend) {
       std::make_unique<FaultInjectionBackend>(std::make_unique<FileBackend>());
   FaultInjectionBackend* handle = fault.get();
   StoreConfig cfg = FileConfig(/*fsync=*/true);
-  auto store = LogStructuredStore::CreateWithBackend(
-      cfg, MakePolicy(Variant::kGreedy), std::move(fault));
+  auto store = CreateWithBackend(cfg, Variant::kGreedy, std::move(fault));
   ASSERT_NE(store, nullptr);
   handle->CrashAfterOps(5, /*seed=*/77);
 
@@ -1023,7 +1035,7 @@ TEST_F(IoBackendTest, CrashAfterOpsTearsFilesAndKillsBackend) {
   // The torn files must still recover to a consistent, usable store.
   Status st;
   auto reopened =
-      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+      ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   for (PageId p = 0; p < 48; ++p) {
@@ -1044,7 +1056,7 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
   cfg.checkpoint_interval_ops = 8;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(31);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -1064,7 +1076,7 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
       }
     }
     ASSERT_TRUE(store->Checkpoint().ok());
-    const StoreStats snap = store->StatsSnapshot();
+    const StoreStats snap = store->AggregatedStats();
     EXPECT_GT(snap.seal_queue_enqueued, 0u);
     EXPECT_GT(snap.group_fsyncs, 0u);
     EXPECT_GT(snap.checkpoints_written, 0u);
@@ -1074,7 +1086,7 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
   }
   // Reopen in async mode too: recovery + pipeline restart.
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -1091,8 +1103,8 @@ TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
   auto fault = std::make_unique<FaultInjectionBackend>(std::move(inner));
   FaultInjectionBackend* handle = fault.get();
   handle->FailSealsAfter(2, Status::Corruption("injected"));
-  auto store = LogStructuredStore::CreateWithBackend(
-      FileConfig(), MakePolicy(Variant::kGreedy), std::move(fault));
+  auto store =
+      CreateWithBackend(FileConfig(), Variant::kGreedy, std::move(fault));
   ASSERT_NE(store, nullptr);
   Status last = Status::OK();
   for (PageId p = 0; p < 64 && last.ok(); ++p) last = store->Write(p);
@@ -1289,7 +1301,7 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
   auto churn = [](const StoreConfig& cfg) {
     StoreConfig c = cfg;
     c.checkpoint_interval_ops = 64;
-    auto store = LogStructuredStore::Create(c, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(c, 1, FactoryFor(Variant::kGreedy));
     EXPECT_NE(store, nullptr);
     Rng rng(19);
     for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
@@ -1307,8 +1319,8 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
 
   auto file_store = churn(FileConfig(/*fsync=*/true));
   auto uring_store = churn(UringConfig(/*fsync=*/true));
-  const StoreStats a = file_store->StatsSnapshot();
-  const StoreStats b = uring_store->StatsSnapshot();
+  const StoreStats a = file_store->AggregatedStats();
+  const StoreStats b = uring_store->AggregatedStats();
   EXPECT_EQ(b.uring_available, 1u);
   EXPECT_GT(b.uring_submitted, 0u);
   EXPECT_EQ(a.user_updates, b.user_updates);
@@ -1330,8 +1342,8 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
 
   // The uring-written store recovers through the uring backend too.
   Status st;
-  auto reopened = LogStructuredStore::Open(
-      UringConfig(/*fsync=*/true), MakePolicy(Variant::kGreedy), &st);
+  auto reopened = ShardedStore::Open(UringConfig(/*fsync=*/true), 1,
+                                     FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   EXPECT_EQ(reopened->LivePageCount(), file_live);
@@ -1355,7 +1367,7 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
   cfg.checkpoint_interval_ops = 32;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
     ASSERT_NE(store, nullptr);
     Rng rng(43);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -1371,7 +1383,7 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
         }
       }
     }
-    const StoreStats snap = store->StatsSnapshot();
+    const StoreStats snap = store->AggregatedStats();
     EXPECT_EQ(snap.uring_available, 1u);
     EXPECT_GT(snap.uring_submitted, 0u);
     EXPECT_GT(snap.group_fsyncs, 0u);
@@ -1379,7 +1391,7 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
     ASSERT_TRUE(store->Close().ok());
   }
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);

@@ -8,7 +8,7 @@
 #include "core/policies/mdc_policy.h"
 #include "core/policies/multilog_policy.h"
 #include "core/policy_factory.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -29,17 +29,26 @@ StoreConfig TinyConfig() {
   return c;
 }
 
-std::unique_ptr<LogStructuredStore> MakeStore(
+// Wraps one hand-built policy instance as the factory of a 1-shard store
+// (which calls it exactly once).
+PolicyFactory Use(std::unique_ptr<CleaningPolicy> policy) {
+  auto owned =
+      std::make_shared<std::unique_ptr<CleaningPolicy>>(std::move(policy));
+  return [owned] { return std::move(*owned); };
+}
+
+std::unique_ptr<ShardedStore> MakeStore(
     std::unique_ptr<CleaningPolicy> policy) {
   Status st;
-  auto store = LogStructuredStore::Create(TinyConfig(), std::move(policy), &st);
+  auto store = ShardedStore::Create(TinyConfig(), 1, Use(std::move(policy)),
+                                    &st);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return store;
 }
 
 // Writes pages [base, base+n) once each; with 4-page segments this seals
 // a segment per 4 pages.
-void WriteRange(LogStructuredStore* store, PageId base, int n) {
+void WriteRange(ShardedStore* store, PageId base, int n) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(store->Write(base + i).ok());
   }
@@ -50,10 +59,10 @@ TEST(AgePolicyTest, PicksOldestSealedSegment) {
   WriteRange(store.get(), 0, 12);  // seals segments in write order
   AgePolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 2, &victims);
+  policy.SelectVictims(store->shard(0), 0, 2, &victims);
   ASSERT_EQ(victims.size(), 2u);
   // Victims must be the two earliest-sealed segments.
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
     EXPECT_GE(segs[id].seal_time(), segs[victims[0]].seal_time());
@@ -70,9 +79,9 @@ TEST(GreedyPolicyTest, PicksEmptiestSegment) {
   ASSERT_TRUE(store->Write(2).ok());
   GreedyPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
     EXPECT_LE(segs[id].available_bytes(), segs[victims[0]].available_bytes());
@@ -90,10 +99,10 @@ TEST(CostBenefitPolicyTest, PrefersOldColdOverYoungEqualEmptiness) {
   WriteRange(store.get(), 100, 4);    // advance clock
   CostBenefitPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
   // The older of the two equally-empty segments wins on age.
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   SegmentId oldest = kInvalidSegment;
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
@@ -112,9 +121,9 @@ TEST(CostBenefitPolicyTest, NeverPicksFullyLiveSegmentFirst) {
   ASSERT_TRUE(store->Write(0).ok());  // only segment 0 has a hole
   CostBenefitPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_GT(store->segments()[victims[0]].Emptiness(), 0.0);
+  EXPECT_GT(store->shard(0).segments()[victims[0]].Emptiness(), 0.0);
 }
 
 TEST(MdcPolicyTest, FullyEmptySegmentCleanedFirst) {
@@ -124,9 +133,9 @@ TEST(MdcPolicyTest, FullyEmptySegmentCleanedFirst) {
   for (PageId p = 4; p < 8; ++p) ASSERT_TRUE(store->Write(p).ok());
   MdcPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_DOUBLE_EQ(store->segments()[victims[0]].Emptiness(), 1.0);
+  EXPECT_DOUBLE_EQ(store->shard(0).segments()[victims[0]].Emptiness(), 1.0);
 }
 
 TEST(MdcPolicyTest, FullyLiveSegmentCleanedLast) {
@@ -137,10 +146,10 @@ TEST(MdcPolicyTest, FullyLiveSegmentCleanedLast) {
   MdcPolicy policy;
   std::vector<SegmentId> victims;
   // Ask for all sealed victims; the fully-live ones must sort to the end.
-  policy.SelectVictims(store->shard(), 0, 100, &victims);
+  policy.SelectVictims(store->shard(0), 0, 100, &victims);
   ASSERT_GE(victims.size(), 3u);
-  EXPECT_EQ(store->segments()[victims.back()].Emptiness(), 0.0);
-  EXPECT_GT(store->segments()[victims.front()].Emptiness(), 0.0);
+  EXPECT_EQ(store->shard(0).segments()[victims.back()].Emptiness(), 0.0);
+  EXPECT_GT(store->shard(0).segments()[victims.front()].Emptiness(), 0.0);
 }
 
 // §4.5: for a uniform distribution MDC orders segments exactly as greedy:
@@ -161,13 +170,13 @@ TEST(MdcPolicyTest, MatchesGreedyOrderUnderEqualFrequency) {
   MdcPolicy mdc(true);
   GreedyPolicy greedy;
   std::vector<SegmentId> mdc_victims, greedy_victims;
-  mdc.SelectVictims(store->shard(), 0, 3, &mdc_victims);
-  greedy.SelectVictims(store->shard(), 0, 3, &greedy_victims);
+  mdc.SelectVictims(store->shard(0), 0, 3, &mdc_victims);
+  greedy.SelectVictims(store->shard(0), 0, 3, &greedy_victims);
   ASSERT_EQ(mdc_victims.size(), 3u);
   // Compare by emptiness rank rather than id (ties may reorder ids).
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(store->segments()[mdc_victims[i]].Emptiness(),
-                     store->segments()[greedy_victims[i]].Emptiness());
+    EXPECT_DOUBLE_EQ(store->shard(0).segments()[mdc_victims[i]].Emptiness(),
+                     store->shard(0).segments()[greedy_victims[i]].Emptiness());
   }
 }
 
@@ -185,10 +194,10 @@ TEST(MdcPolicyTest, ColderOfEqualEmptinessCleanedFirst) {
   ASSERT_TRUE(store->Write(4).ok());  // one hole in cold segment
   MdcPolicy policy(true);
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 2, &victims);
+  policy.SelectVictims(store->shard(0), 0, 2, &victims);
   ASSERT_EQ(victims.size(), 2u);
   // First victim: the cold segment (pages 5..7 live, upf 0.125).
-  const Segment& first = store->segments()[victims[0]];
+  const Segment& first = store->shard(0).segments()[victims[0]];
   double mean_upf = first.exact_upf_sum() / first.live_count();
   EXPECT_LT(mean_upf, 1.0);
 }
@@ -197,8 +206,8 @@ TEST(MultiLogPolicyTest, SingleLogWithoutHistory) {
   MultiLogPolicy policy;
   auto store = MakeStore(std::make_unique<MultiLogPolicy>());
   // Unknown frequency (first writes): everything goes to one log.
-  const uint32_t log0 = policy.PlacementLog(store->shard(), 0, false, 0.0);
-  const uint32_t log1 = policy.PlacementLog(store->shard(), 1, false, 0.0);
+  const uint32_t log0 = policy.PlacementLog(store->shard(0), 0, false, 0.0);
+  const uint32_t log1 = policy.PlacementLog(store->shard(0), 1, false, 0.0);
   EXPECT_EQ(log0, log1);
   EXPECT_EQ(policy.NumLogs(), 1u);
 }
@@ -206,21 +215,23 @@ TEST(MultiLogPolicyTest, SingleLogWithoutHistory) {
 TEST(MultiLogPolicyTest, DistinctBandsGetDistinctLogs) {
   MultiLogPolicy policy;
   auto store = MakeStore(std::make_unique<MultiLogPolicy>());
-  const uint32_t hot = policy.PlacementLog(store->shard(), 0, false, 1.0 / 4.0);
-  const uint32_t cold = policy.PlacementLog(store->shard(), 1, false, 1.0 / 4096.0);
+  StoreShard& shard = store->shard(0);
+  const uint32_t hot = policy.PlacementLog(shard, 0, false, 1.0 / 4.0);
+  const uint32_t cold = policy.PlacementLog(shard, 1, false, 1.0 / 4096.0);
   EXPECT_NE(hot, cold);
   // Same band maps to the same log.
-  EXPECT_EQ(policy.PlacementLog(store->shard(), 2, false, 1.0 / 5.0), hot);
+  EXPECT_EQ(policy.PlacementLog(shard, 2, false, 1.0 / 5.0), hot);
 }
 
 TEST(MultiLogPolicyTest, LogCapFallsBackToNearestBand) {
   MultiLogPolicy policy(false, /*max_logs=*/2);
   auto store = MakeStore(std::make_unique<MultiLogPolicy>());
-  const uint32_t a = policy.PlacementLog(store->shard(), 0, false, 1.0 / 2.0);
-  const uint32_t b = policy.PlacementLog(store->shard(), 1, false, 1.0 / (1 << 20));
+  StoreShard& shard = store->shard(0);
+  const uint32_t a = policy.PlacementLog(shard, 0, false, 1.0 / 2.0);
+  const uint32_t b = policy.PlacementLog(shard, 1, false, 1.0 / (1 << 20));
   EXPECT_EQ(policy.NumLogs(), 2u);
   // A third band must reuse one of the two existing logs.
-  const uint32_t c = policy.PlacementLog(store->shard(), 2, false, 1.0 / (1 << 10));
+  const uint32_t c = policy.PlacementLog(shard, 2, false, 1.0 / (1 << 10));
   EXPECT_TRUE(c == a || c == b);
   EXPECT_EQ(policy.NumLogs(), 2u);
 }
@@ -236,14 +247,16 @@ TEST(MultiLogPolicyTest, SelectsVictimFromOwnOrNeighbourLogs) {
   cfg.gc_shares_user_stream = true;
   auto policy_owned = std::make_unique<MultiLogPolicy>();
   MultiLogPolicy* policy = policy_owned.get();
-  auto store = LogStructuredStore::Create(cfg, std::move(policy_owned), &st);
+  auto store =
+      ShardedStore::Create(cfg, 1, Use(std::move(policy_owned)), &st);
   ASSERT_TRUE(st.ok());
   // Fill with first writes: all in the unknown-frequency log.
   for (PageId p = 0; p < 12; ++p) ASSERT_TRUE(store->Write(p).ok());
   std::vector<SegmentId> victims;
-  policy->SelectVictims(store->shard(), /*triggering_log=*/0, 4, &victims);
+  policy->SelectVictims(store->shard(0), /*triggering_log=*/0, 4, &victims);
   ASSERT_EQ(victims.size(), 1u);  // one at a time
-  EXPECT_EQ(store->segments()[victims[0]].state(), SegmentState::kSealed);
+  EXPECT_EQ(store->shard(0).segments()[victims[0]].state(),
+            SegmentState::kSealed);
 }
 
 TEST(PolicyFactoryTest, NamesRoundTrip) {

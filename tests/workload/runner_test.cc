@@ -193,23 +193,38 @@ std::unique_ptr<ShardedStore> SerialShardedReplay(const StoreConfig& base,
   return store;
 }
 
-TEST(RunnerTest, TraceReplayParallelSingleShardMatchesRunTrace) {
-  // One shard + one queue = the exact op sequence of RunTrace; results
-  // must agree bit for bit.
+// Golden results of a 1-shard replay, recorded from the former serial
+// replay loop on this exact trace: the single-shard replay path must keep
+// reproducing them bit for bit, both through RunTrace and through the
+// replay engine on a caller-created store (which exposes every counter).
+TEST(RunnerTest, TraceReplayParallelSingleShardGolden) {
   const StoreConfig base = TestConfig();
   Trace t;
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.6), &t);
-  const RunResult serial = RunTrace(base, Variant::kMdc, t, measure_from);
-  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
-  const ParallelRunResult par =
-      RunTraceParallel(base, Variant::kMdc, t, measure_from, 1);
-  ASSERT_TRUE(par.result.status.ok()) << par.result.status.ToString();
-  EXPECT_DOUBLE_EQ(par.result.wamp, serial.wamp);
-  EXPECT_DOUBLE_EQ(par.result.mean_clean_emptiness,
-                   serial.mean_clean_emptiness);
-  EXPECT_EQ(par.result.measured_updates, serial.measured_updates);
-  EXPECT_DOUBLE_EQ(par.result.effective_fill, serial.effective_fill);
+  const RunResult r = RunTrace(base, Variant::kMdc, t, measure_from);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.shards, 1u);
+  EXPECT_EQ(r.wamp, 0.44283913176815348);
+  EXPECT_EQ(r.measured_updates, 29371u);
+  EXPECT_EQ(r.segments_cleaned, 640u);
+  EXPECT_EQ(r.mean_clean_emptiness, 0.68271484375000002);
+  EXPECT_EQ(r.effective_fill, 0.591064453125);
+
+  StoreConfig cfg = base;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  Status st;
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+  ASSERT_TRUE(ReplayTraceParallel(store.get(), t, measure_from).ok());
+  const StoreStats s = store->AggregatedStats();
+  EXPECT_EQ(s.user_updates, 29371u);
+  EXPECT_EQ(s.user_pages_written, 29347u);
+  EXPECT_EQ(s.gc_pages_written, 12996u);
+  EXPECT_EQ(s.segments_cleaned, 640u);
+  EXPECT_EQ(s.cleanings, 80u);
+  EXPECT_EQ(s.WriteAmplification(), 0.44283913176815348);
 }
 
 TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
@@ -255,43 +270,40 @@ TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
   EXPECT_TRUE(parallel->CheckInvariants().ok());
 }
 
-TEST(RunnerTest, TraceReplayParallelPresplitMatchesRouterPath) {
-  // The pre-split fast path skips the per-record shard router but must
-  // feed every shard the identical record subsequence, so replaying the
-  // same trace with and without a ShardedTrace must agree bit for bit —
-  // aggregate stats and per-shard Wamp alike.
+// Golden results of a 4-shard replay, recorded from the former
+// record-by-record router on this exact trace. Every way of feeding the
+// shards must reproduce them bit for bit: a split made by the replay
+// itself, a caller-provided SplitTrace, and a presplit whose shard count
+// does not match (ignored; the replay splits the trace itself).
+TEST(RunnerTest, TraceReplayParallelPresplitGolden) {
   const StoreConfig base = TestConfig();
   const uint32_t shards = 4;
   Trace t;
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.6), &t);
-  const ParallelRunResult routed =
-      RunTraceParallel(base, Variant::kMdc, t, measure_from, shards);
-  ASSERT_TRUE(routed.result.status.ok()) << routed.result.status.ToString();
-
   const ShardedTrace presplit = SplitTrace(t, measure_from, shards);
   ASSERT_TRUE(presplit.Valid());
-  const ParallelRunResult fast = RunTraceParallel(base, Variant::kMdc, t,
-                                                  measure_from, shards,
-                                                  &presplit);
-  ASSERT_TRUE(fast.result.status.ok()) << fast.result.status.ToString();
-
-  EXPECT_DOUBLE_EQ(fast.result.wamp, routed.result.wamp);
-  EXPECT_EQ(fast.result.measured_updates, routed.result.measured_updates);
-  EXPECT_DOUBLE_EQ(fast.result.mean_clean_emptiness,
-                   routed.result.mean_clean_emptiness);
-  EXPECT_DOUBLE_EQ(fast.result.effective_fill, routed.result.effective_fill);
-  ASSERT_EQ(fast.shard_wamp.size(), routed.shard_wamp.size());
-  for (size_t s = 0; s < fast.shard_wamp.size(); ++s) {
-    EXPECT_DOUBLE_EQ(fast.shard_wamp[s], routed.shard_wamp[s])
-        << "shard " << s;
+  const ShardedTrace mismatched = SplitTrace(t, measure_from, shards / 2);
+  // Per-shard (user_pages_written, gc_pages_written): (7616, 12060),
+  // (7101, 12598), (6844, 8749), (7361, 8187).
+  const double golden_shard_wamp[] = {1.5835084033613445, 1.7741163216448388,
+                                      1.2783459964932788, 1.1122130145360685};
+  for (const ShardedTrace* split : {static_cast<const ShardedTrace*>(nullptr),
+                                    &presplit, &mismatched}) {
+    const RunResult r =
+        RunTrace(base, Variant::kMdc, t, measure_from, shards, split);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.shards, shards);
+    EXPECT_EQ(r.wamp, 1.4381439734458199);
+    EXPECT_EQ(r.measured_updates, 29371u);
+    EXPECT_EQ(r.segments_cleaned, 1088u);
+    EXPECT_EQ(r.mean_clean_emptiness, 0.40265969669117646);
+    EXPECT_EQ(r.effective_fill, 0.641357421875);
+    ASSERT_EQ(r.shard_wamp.size(), shards);
+    for (uint32_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(r.shard_wamp[s], golden_shard_wamp[s]) << "shard " << s;
+    }
   }
-  // A shard-count mismatch must fall back to the router, not misroute.
-  const ShardedTrace wrong = SplitTrace(t, measure_from, shards / 2);
-  const ParallelRunResult fallback = RunTraceParallel(
-      base, Variant::kMdc, t, measure_from, shards, &wrong);
-  ASSERT_TRUE(fallback.result.status.ok());
-  EXPECT_DOUBLE_EQ(fallback.result.wamp, routed.result.wamp);
 }
 
 TEST(RunnerTest, TraceReplayParallelHandlesDeletesAndOracle) {
@@ -300,15 +312,14 @@ TEST(RunnerTest, TraceReplayParallelHandlesDeletesAndOracle) {
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.5), &t);
   t.AppendDelete(999999);  // absent page must not abort the replay
-  const ParallelRunResult r =
-      RunTraceParallel(base, Variant::kMdcOpt, t, measure_from, 4);
-  ASSERT_TRUE(r.result.status.ok()) << r.result.status.ToString();
+  const RunResult r = RunTrace(base, Variant::kMdcOpt, t, measure_from, 4);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.shards, 4u);
   // The measured suffix holds 30000 mixed records, ~2% deletes; only
   // writes count as updates.
-  EXPECT_GT(r.result.measured_updates, 28000u);
-  EXPECT_LT(r.result.measured_updates, 30000u);
-  EXPECT_GT(r.result.wamp, 0.0);
+  EXPECT_GT(r.measured_updates, 28000u);
+  EXPECT_LT(r.measured_updates, 30000u);
+  EXPECT_GT(r.wamp, 0.0);
   EXPECT_EQ(r.shard_wamp.size(), 4u);
 }
 
