@@ -4,10 +4,14 @@
 // and the per-shard write-amplification spread.
 //
 // What to expect: write amplification is a property of the write pattern
-// (paper §6.1.1 — device size does not affect Wamp), so the aggregate and
-// per-shard Wamp should sit within a few percent of the single-threaded,
-// single-shard baseline at every thread count — sharding must not
-// change the *quality* of cleaning, only its parallelism. Throughput
+// (paper §6.1.1 — device size does not affect Wamp), so the aggregate
+// Wamp should not change with the thread count, and sharding should not
+// make it worse than the single-threaded, single-shard baseline. At the
+// default 4 shards it reads ~6% below that baseline (1.15 against 1.23):
+// the clean trigger is split over the shards, but each shard keeps the
+// full clean batch and write buffer for a quarter of the data, so MDC
+// sorts a wider window per page. Per-shard Wamp spreads by a few percent
+// either side, from hash imbalance in each shard's fill factor. Throughput
 // should scale with threads on multi-core hardware (shards > threads
 // keeps routing collisions low); on a single core the sweep degenerates
 // to a lock-overhead measurement.

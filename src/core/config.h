@@ -24,8 +24,11 @@ enum class BackendKind : uint8_t {
   kUring,
 };
 
-/// Configuration of a store (ShardedStore divides num_segments among its
-/// shards; every other field applies to each shard).
+/// Configuration of a store. ShardedStore treats num_segments and
+/// clean_trigger_segments as device-wide budgets and divides both among
+/// its shards (the trigger with a floor of 1); every other field,
+/// clean_batch_segments and write_buffer_segments included, applies to
+/// each shard.
 ///
 /// Paper defaults (§6.1.1): 4 KB pages, 2 MB segments (512 pages), 100 GB
 /// device (51 200 segments), cleaning triggered when the free pool drops
@@ -41,7 +44,8 @@ struct StoreConfig {
   uint32_t page_bytes = 4096;
   /// Number of physical segments on the device.
   uint32_t num_segments = 512;
-  /// Cleaning starts when the free pool falls below this many segments.
+  /// Cleaning starts when the free pool falls below this many segments
+  /// (device-wide: each of N shards gets max(1, trigger / N)).
   uint32_t clean_trigger_segments = 8;
   /// Victim segments examined per cleaning cycle (paper cleans 64 at a
   /// time; batching "enables more effective separation of pages by update

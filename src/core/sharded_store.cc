@@ -1,5 +1,8 @@
 #include "core/sharded_store.h"
 
+#include <algorithm>
+#include <string>
+
 namespace lss {
 
 void ShardedStore::DrainInbox(Shard& s) {
@@ -72,9 +75,14 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
   // Split the device evenly; any remainder segments are dropped rather
   // than creating unequal shards (at most num_shards - 1 segments, noise
-  // at any realistic device size).
+  // at any realistic device size). The clean trigger is a device-wide
+  // free-pool reserve (paper §6.1.1) and is split the same way, so N
+  // shards do not hold back N full reserves. Batch and write buffer stay
+  // per shard: MDC separates pages by sorting large batches (§5.3).
   StoreConfig shard_cfg = config;
   shard_cfg.num_segments = config.num_segments / num_shards;
+  shard_cfg.clean_trigger_segments =
+      std::max(1u, config.clean_trigger_segments / num_shards);
   s = shard_cfg.Validate();
   if (!s.ok()) {
     return fail(Status::InvalidArgument(

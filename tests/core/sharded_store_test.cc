@@ -1,5 +1,6 @@
 #include "core/sharded_store.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -42,9 +43,17 @@ TEST(ShardedStoreTest, CreateValidatesGeometry) {
   EXPECT_EQ(ok->num_shards(), 4u);
   EXPECT_EQ(ok->shard_config().num_segments, 64u);
 
-  // 256 segments over 64 shards -> 4 per shard, but the clean trigger (2)
-  // then violates "trigger < num_segments / 2".
-  auto bad = ShardedStore::Create(SmallConfig(), 64,
+  // 256 segments over 64 shards -> 4 per shard. The device trigger (2)
+  // is split too, with a floor of 1, so "trigger < num_segments / 2"
+  // still holds per shard.
+  auto tight = ShardedStore::Create(SmallConfig(), 64,
+                                    FactoryFor(Variant::kGreedy), &st);
+  ASSERT_NE(tight, nullptr) << st.ToString();
+  EXPECT_EQ(tight->shard_config().num_segments, 4u);
+  EXPECT_EQ(tight->shard_config().clean_trigger_segments, 1u);
+
+  // 256 segments over 128 shards -> 2 per shard, below the minimum of 4.
+  auto bad = ShardedStore::Create(SmallConfig(), 128,
                                   FactoryFor(Variant::kGreedy), &st);
   EXPECT_EQ(bad, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
@@ -104,6 +113,58 @@ TEST(ShardedStoreTest, DeleteAndFlushWork) {
   EXPECT_EQ(store->Delete(17).code(), Status::Code::kNotFound);
   EXPECT_EQ(store->LivePageCount(), 50u);
   EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
+// The clean trigger is a device-wide free-pool reserve (paper §6.1.1),
+// split over the shards like num_segments with a floor of 1; batch and
+// write buffer stay per shard.
+TEST(ShardedStoreTest, CleanTriggerIsDeviceWide) {
+  for (uint32_t n : {1u, 2u, 4u, 8u}) {
+    for (uint32_t t : {1u, 4u, 16u}) {
+      StoreConfig cfg = SmallConfig();
+      cfg.num_segments = 1024;
+      cfg.clean_trigger_segments = t;
+      Status st;
+      auto store =
+          ShardedStore::Create(cfg, n, FactoryFor(Variant::kGreedy), &st);
+      ASSERT_NE(store, nullptr) << st.ToString();
+      const uint32_t want = std::max(1u, t / n);
+      EXPECT_EQ(store->shard_config().clean_trigger_segments, want)
+          << n << " shards, trigger " << t;
+      EXPECT_EQ(store->shard_config().num_segments, 1024u / n);
+      for (uint32_t i = 0; i < n; ++i) {
+        const StoreConfig& c = store->shard(i).config();
+        EXPECT_EQ(c.clean_trigger_segments, want)
+            << n << " shards, trigger " << t << ", shard " << i;
+        EXPECT_EQ(c.clean_batch_segments, cfg.clean_batch_segments);
+        EXPECT_EQ(c.write_buffer_segments, cfg.write_buffer_segments);
+      }
+    }
+  }
+}
+
+// Golden Wamp of a deterministic 4-shard MDC run (one client thread) on
+// hot-cold 80:20 updates, recorded with the device-wide clean trigger
+// (8 segments over 4 shards = 2 each). Giving every shard the full
+// trigger again holds back 4x the free-pool reserve and fails here.
+TEST(ShardedStoreTest, FourShardHotColdGoldenWamp) {
+  StoreConfig cfg = SmallConfig();
+  cfg.clean_trigger_segments = 8;
+  HotColdWorkload workload(cfg.UserPagesForFillFactor(0.8), 0.8);
+  RunSpec spec;
+  spec.fill_factor = 0.8;
+  spec.warmup_multiplier = 3;
+  spec.measure_multiplier = 4;
+  spec.seed = 5;
+
+  const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, spec,
+                                   /*threads=*/1, /*shards=*/4);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.shards, 4u);
+  EXPECT_EQ(r.wamp, 1.3913143382352942);
+  EXPECT_EQ(r.measured_updates, 13104u);
+  EXPECT_EQ(r.segments_cleaned, 1952u);
+  EXPECT_EQ(r.mean_clean_emptiness, 0.41838498975409838);
 }
 
 // Golden counters of the paper's single-log simulator: one shard, one

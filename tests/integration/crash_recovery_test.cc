@@ -117,6 +117,9 @@ struct TortureGeometry {
   Variant variant = Variant::kGreedy;
   uint32_t segments_per_shard = 32;
   PageId pages_per_shard = 110;  // fill ~0.4 at max size (default geo)
+  // Clean trigger each shard ends up with; TortureConfig passes
+  // trigger_per_shard * num_shards as the device-wide budget.
+  uint32_t trigger_per_shard = 2;
   // Periodic-checkpoint cadence (backend ops) for TortureConfig.
   uint32_t checkpoint_interval = 12;
   // > 0: the torture phases issue an explicit Checkpoint() barrier every
@@ -147,7 +150,8 @@ StoreConfig TortureConfig(uint32_t num_shards, bool async_seal,
   c.page_bytes = 1024;
   c.segment_bytes = 8 * 1024;  // 8 default-size pages per segment
   c.num_segments = geo.segments_per_shard * num_shards;
-  c.clean_trigger_segments = 2;
+  // The trigger is a device-wide budget split over the shards.
+  c.clean_trigger_segments = geo.trigger_per_shard * num_shards;
   c.clean_batch_segments = 4;
   c.write_buffer_segments = 2;
   c.backend = geo.backend;
@@ -479,6 +483,34 @@ TEST_F(CrashRecoveryTest, TortureMultiLogTinyFreePool) {
       << "multi-log tiny-pool geometry never re-homed a withheld slot; "
          "tighten the free pool";
   std::printf("multi-log tiny-pool: %llu re-homed + %llu plain "
+              "withheld-slot reuses across %d iterations, zero losses\n",
+              static_cast<unsigned long long>(total_rehomed),
+              static_cast<unsigned long long>(total_plain), iters);
+}
+
+// The same multi-log tiny pool at the trigger floor: a device trigger
+// equal to the shard count leaves every shard a 1-segment reserve (as the
+// default trigger of 8 does at 8 shards), one spare slot fewer than the
+// other geometries, so the withheld-slot fallback and its re-homing run
+// under the tightest pool a sharded store can be given.
+TEST_F(CrashRecoveryTest, TortureMultiLogTriggerFloorFourShards) {
+  TortureGeometry geo = MultiLogTinyPoolGeometry();
+  geo.trigger_per_shard = 1;
+  const int iters = std::max(TortureIters() / 4, 25);
+  uint64_t total_rehomed = 0;
+  uint64_t total_plain = 0;
+  for (int i = 0; i < iters; ++i) {
+    RunTortureIteration(dir_, /*num_shards=*/4, /*seed=*/80000 + i,
+                        /*async_seal=*/(i % 2) == 1,
+                        /*audit_reuse=*/(i % 8) == 0, geo, &total_rehomed,
+                        &total_plain);
+    if (HasFatalFailure() || HasNonfatalFailure()) {
+      FAIL() << "trigger-floor torture iteration " << i << " failed";
+    }
+  }
+  EXPECT_GT(total_rehomed, 0u)
+      << "trigger-floor geometry never re-homed a withheld slot";
+  std::printf("trigger-floor torture: %llu re-homed + %llu plain "
               "withheld-slot reuses across %d iterations, zero losses\n",
               static_cast<unsigned long long>(total_rehomed),
               static_cast<unsigned long long>(total_plain), iters);

@@ -274,9 +274,13 @@ TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
 // record-by-record router on this exact trace. Every way of feeding the
 // shards must reproduce them bit for bit: a split made by the replay
 // itself, a caller-provided SplitTrace, and a presplit whose shard count
-// does not match (ignored; the replay splits the trace itself).
+// does not match (ignored; the replay splits the trace itself). The
+// clean trigger is a device-wide budget split over the shards, so a
+// device trigger of 16 gives each shard the 4 the goldens were recorded
+// with.
 TEST(RunnerTest, TraceReplayParallelPresplitGolden) {
-  const StoreConfig base = TestConfig();
+  StoreConfig base = TestConfig();
+  base.clean_trigger_segments = 16;
   const uint32_t shards = 4;
   Trace t;
   const size_t measure_from =
