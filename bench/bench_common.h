@@ -203,6 +203,12 @@ class JsonRow {
     fields_.emplace_back(key, std::to_string(value));
     return *this;
   }
+  /// One key per StoreStats counter (StoreStats::ForEach), named after
+  /// the member.
+  JsonRow& Counters(const StoreStats& stats) {
+    stats.ForEach([this](const char* name, auto value) { Num(name, value); });
+    return *this;
+  }
 
   std::string ToJson() const {
     std::string out = "{";
@@ -261,7 +267,8 @@ inline void Emit(const JsonRow& row) {
   internal::JsonRows().push_back(row.ToJson());
 }
 
-/// Convenience: the standard columns of a synthetic run.
+/// Convenience: the standard columns of a synthetic run, then every
+/// measured counter.
 inline void EmitRunResult(const std::string& bench,
                           const std::string& workload, double fill,
                           const RunResult& r) {
@@ -271,14 +278,13 @@ inline void EmitRunResult(const std::string& bench,
       .Num("fill", fill)
       .Num("wamp", r.wamp)
       .Num("mean_clean_emptiness", r.mean_clean_emptiness)
-      .Num("measured_updates", r.measured_updates)
+      .Num("measured_updates", r.stats.user_updates)
       .Num("effective_fill", r.effective_fill);
-  if (r.device_bytes_written > 0) {
-    row.Num("device_bytes_written", r.device_bytes_written)
-        .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-        .Num("device_seconds", r.device_seconds)
-        .Num("device_fsyncs", r.device_fsyncs);
+  if (r.stats.device_bytes_written > 0) {
+    row.Num("device_bytes_per_user_byte", r.stats.DeviceBytesPerUserByte())
+        .Num("device_seconds", r.stats.DeviceSeconds());
   }
+  row.Counters(r.stats);
   Emit(row);
 }
 

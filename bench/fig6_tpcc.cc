@@ -352,7 +352,7 @@ void Run() {
             .Num("fill", f)
             .Num("wamp", r.wamp)
             .Num("mean_clean_emptiness", r.mean_clean_emptiness)
-            .Num("measured_updates", r.measured_updates)
+            .Num("measured_updates", r.stats.user_updates)
             .Num("effective_fill", r.effective_fill)
             .Num("threads", static_cast<uint64_t>(threads));
         if (replay_shards > 1) json.Num("replay_seconds", r.measure_seconds);

@@ -139,14 +139,15 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
       // Sealed segments are (nearly) full, so every physical byte the
       // device sees is a user byte, a GC byte or metadata: 1 + Wamp.
       row.emplace_back(1.0 + r.wamp, 3);
-      if (r.device_bytes_written > 0) {
+      const StoreStats& st = r.stats;
+      if (st.device_bytes_written > 0) {
         const double mb =
-            static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0);
-        row.emplace_back(r.device_bytes_per_user_byte, 3);
+            static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0);
+        const double seconds = st.DeviceSeconds();
+        row.emplace_back(st.DeviceBytesPerUserByte(), 3);
         row.emplace_back(mb, 1);
-        row.emplace_back(r.device_seconds > 0 ? mb / r.device_seconds : 0.0,
-                         1);
-        row.emplace_back(static_cast<int>(r.device_fsyncs));
+        row.emplace_back(seconds > 0 ? mb / seconds : 0.0, 1);
+        row.emplace_back(static_cast<int>(st.device_fsyncs));
       } else {
         row.emplace_back("-");
         row.emplace_back("-");
@@ -162,12 +163,11 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
           .Num("fill", fill)
           .Num("wamp", r.wamp)
           .Num("predicted_device_bytes_per_user_byte", 1.0 + r.wamp)
-          .Num("device_bytes_written", r.device_bytes_written)
-          .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-          .Num("device_seconds", r.device_seconds)
-          .Num("device_fsyncs", r.device_fsyncs)
-          .Num("backend_blocking_seconds", r.backend_blocking_seconds)
-          .Num("uring_available", r.uring_available);
+          .Num("device_bytes_per_user_byte", st.DeviceBytesPerUserByte())
+          .Num("device_seconds", st.DeviceSeconds())
+          .Num("backend_blocking_seconds", st.DeviceSeconds())
+          .Num("uring_available", st.uring_available)
+          .Counters(st);
       bench::Emit(json);
     }
   }
@@ -232,15 +232,16 @@ void SealPipelinePanel(double fill, const std::string& dir) {
       row.emplace_back(r.wamp, 3);
       row.emplace_back(r.updates_per_second / 1000.0, 1);
       row.emplace_back(r.measure_seconds, 2);
-      row.emplace_back(r.backend_blocking_seconds * 1000.0, 1);
+      const StoreStats& st = r.stats;
+      row.emplace_back(st.DeviceSeconds() * 1000.0, 1);
       row.emplace_back(
-          static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0), 1);
-      row.emplace_back(static_cast<int>(r.device_fsyncs));
-      row.emplace_back(static_cast<int>(r.group_fsyncs));
-      row.emplace_back(static_cast<int>(r.seal_queue_stalls));
-      row.emplace_back(static_cast<int>(r.checkpoints_written));
-      row.emplace_back(static_cast<int>(r.withheld_slot_reuses_rehomed));
-      row.emplace_back(static_cast<int>(r.withheld_slot_reuses_plain));
+          static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0), 1);
+      row.emplace_back(static_cast<int>(st.device_fsyncs));
+      row.emplace_back(static_cast<int>(st.group_fsyncs));
+      row.emplace_back(static_cast<int>(st.seal_queue_stalls));
+      row.emplace_back(static_cast<int>(st.checkpoints_written));
+      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_rehomed));
+      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_plain));
       table.AddRow(std::move(row));
 
       bench::JsonRow json("io_backend_seal_pipeline");
@@ -251,20 +252,9 @@ void SealPipelinePanel(double fill, const std::string& dir) {
           .Num("wamp", r.wamp)
           .Num("updates_per_second", r.updates_per_second)
           .Num("measure_seconds", r.measure_seconds)
-          .Num("backend_blocking_seconds", r.backend_blocking_seconds)
-          .Num("uring_available", r.uring_available)
-          .Num("uring_submitted", r.uring_submitted)
-          .Num("device_bytes_written", r.device_bytes_written)
-          .Num("device_fsyncs", r.device_fsyncs)
-          .Num("group_fsyncs", r.group_fsyncs)
-          .Num("seal_queue_stalls", r.seal_queue_stalls)
-          .Num("checkpoints_written", r.checkpoints_written)
-          .Num("checkpoint_rounds", r.checkpoint_rounds)
-          .Num("checkpoint_full_records", r.checkpoint_full_records)
-          .Num("checkpoint_delta_records", r.checkpoint_delta_records)
-          .Num("checkpoint_bytes_written", r.checkpoint_bytes_written)
-          .Num("withheld_slot_reuses_rehomed", r.withheld_slot_reuses_rehomed)
-          .Num("withheld_slot_reuses_plain", r.withheld_slot_reuses_plain);
+          .Num("backend_blocking_seconds", st.DeviceSeconds())
+          .Num("uring_available", st.uring_available)
+          .Counters(st);
       bench::Emit(json);
     }
   }
@@ -444,12 +434,8 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
           .Num("interval", static_cast<uint64_t>(interval))
           .Num("fill", fill)
           .Num("wamp", br.wamp)
-          .Num("checkpoint_rounds", st.checkpoint_rounds)
-          .Num("checkpoints_written", st.checkpoints_written)
-          .Num("checkpoint_full_records", st.checkpoint_full_records)
-          .Num("checkpoint_delta_records", st.checkpoint_delta_records)
-          .Num("checkpoint_bytes_written", st.checkpoint_bytes_written)
-          .Num("device_bytes_written", st.device_bytes_written)
+          .Num("backend_blocking_seconds", st.DeviceSeconds())
+          .Counters(st)
           .Num("predicted_device_bytes", predicted)
           .Num("prediction_error", err);
       if (delta && ratio > 0) json.Num("ckpt_bytes_full_over_delta", ratio);

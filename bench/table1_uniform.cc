@@ -73,7 +73,7 @@ void Run() {
                     .Num("analytic_wamp", WampFromEmptiness(e))
                     .Num("wamp", r.wamp)
                     .Num("mean_clean_emptiness", r.mean_clean_emptiness)
-                    .Num("measured_updates", r.measured_updates));
+                    .Num("measured_updates", r.stats.user_updates));
   }
   std::printf("Table 1: fill factor vs segment emptiness when cleaned "
               "(uniform updates)\n");

@@ -220,7 +220,9 @@ fi
 # suffix-only open-segment persistence. The JSON must carry both a
 # full-mode and a delta-mode row, and the delta row must have actually
 # emitted suffix records (a silent fallback to full checkpoints would
-# drop the checkpoint_delta_records field's nonzero value).
+# drop the checkpoint_delta_records field's nonzero value). The row
+# must also carry keys from the StoreStats::ForEach emitter and the
+# derived blocking time, so an emitter that silently drops a key fails.
 if [[ -x "$BUILD_DIR/bench/io_backend" ]]; then
   LSS_BENCH_SMOKE=1 \
     LSS_BENCH_JSON="$BUILD_DIR/io_backend_smoke.json" \
@@ -228,6 +230,9 @@ if [[ -x "$BUILD_DIR/bench/io_backend" ]]; then
   grep -q '"bench":"io_backend_ckpt_sweep"' "$BUILD_DIR/io_backend_smoke.json"
   grep -q '"mode":"delta"' "$BUILD_DIR/io_backend_smoke.json"
   grep -q '"ckpt_bytes_full_over_delta"' "$BUILD_DIR/io_backend_smoke.json"
+  grep -q '"device_fsyncs"' "$BUILD_DIR/io_backend_smoke.json"
+  grep -q '"checkpoint_bytes_written"' "$BUILD_DIR/io_backend_smoke.json"
+  grep -q '"backend_blocking_seconds"' "$BUILD_DIR/io_backend_smoke.json"
   echo "check.sh: io_backend delta-checkpoint smoke green"
 fi
 

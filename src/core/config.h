@@ -65,13 +65,6 @@ struct StoreConfig {
   /// stream as user writes (multi-log semantics) rather than into
   /// dedicated GC output segments.
   bool gc_shares_user_stream = false;
-  /// When true, re-updating a page that is still in the write buffer
-  /// overwrites the buffered copy in place, so only one physical write
-  /// reaches a segment (what a real write cache does). Off by default:
-  /// the paper's simulator counts every update as a page write, and at
-  /// bench scale absorption would skew the write-amplification
-  /// denominator (noticeable in the Figure 4 buffer sweep).
-  bool absorb_buffered_rewrites = false;
 
   /// Persistence backend for sealed segments. The default keeps the
   /// simulator bookkeeping-only; kFile performs real pwrite/fsync I/O.

@@ -5,6 +5,106 @@
 
 #include "util/histogram.h"
 
+/// Every scalar counter of StoreStats, declared once:
+/// X(type, name, doc). The list generates the data members (in this
+/// order, zero-initialised), Merge, ResetMeasurement and ForEach, so
+/// adding a counter is one entry here; the store increments the member
+/// and every bench emitter that walks ForEach picks it up by name.
+/// Not listed: the clean-time emptiness histogram and the
+/// uring_available capability flag, which StoreStats spells by hand.
+#define LSS_STORE_COUNTERS(X)                                                \
+  /* --- Cleaning (the paper's measurements) --------------------------- */  \
+  X(uint64_t, user_updates, "Logical user updates submitted via Write().")   \
+  X(uint64_t, user_pages_written,                                            \
+    "Physical page writes of user data into segments. Lags user_updates "    \
+    "while writes wait in the write buffer; a page deleted while buffered "  \
+    "is never written.")                                                     \
+  X(uint64_t, gc_pages_written,                                              \
+    "Still-live pages moved by the cleaner (the paper's 'page moves', "      \
+    "§1.2 — the numerator of Wamp).")                                        \
+  X(uint64_t, user_segments_sealed,                                          \
+    "Segments filled with user data and sealed.")                            \
+  X(uint64_t, gc_segments_sealed,                                            \
+    "Segments filled with GC'd pages and sealed.")                           \
+  X(uint64_t, segments_cleaned, "Victim segments reclaimed.")                \
+  X(uint64_t, cleanings, "Cleaning cycles executed.")                        \
+  X(uint64_t, deletes, "Deletes (trims) applied.")                           \
+  /* --- Logical byte volume (denominators for device ratios) ---------- */  \
+  X(uint64_t, user_bytes_written,                                            \
+    "Payload bytes of user page versions placed into segments.")             \
+  X(uint64_t, gc_bytes_written,                                              \
+    "Payload bytes of GC-moved page versions placed into segments.")         \
+  /* --- Device counters (filled by a real SegmentBackend; all zero on       \
+     --- the null backend) --------------------------------------------- */  \
+  X(uint64_t, device_bytes_written,                                          \
+    "Bytes handed to pwrite (segment payloads plus metadata records).")      \
+  X(uint64_t, device_write_ops, "pwrite calls issued.")                      \
+  X(uint64_t, device_fsyncs, "fsync/fdatasync calls issued.")                \
+  X(uint64_t, device_bytes_punched,                                          \
+    "Payload bytes released back to the filesystem via hole punching.")      \
+  X(double, device_write_seconds,                                            \
+    "Wall-clock seconds spent inside pwrite (for the uring backend: "        \
+    "inside buffer packing + SQE submission, the only part of a payload "    \
+    "write that blocks the calling thread).")                                \
+  X(double, device_fsync_seconds, "Wall-clock seconds spent inside fsync.")  \
+  /* --- io_uring backend (all zero on other backends; see                   \
+     --- core/uring_backend.h) ----------------------------------------- */  \
+  X(uint64_t, uring_submitted, "Payload-write SQEs submitted to the ring.")  \
+  X(uint64_t, uring_completed,                                               \
+    "CQEs reaped (payload writes + ring-issued fsyncs).")                    \
+  X(uint64_t, uring_short_writes,                                            \
+    "Short payload writes patched with a synchronous pwrite of the "         \
+    "remainder (essentially ENOSPC territory; always worth surfacing).")     \
+  X(double, uring_wait_seconds,                                              \
+    "Wall-clock seconds the calling thread spent waiting on CQEs (the "      \
+    "durability barrier in Sync/seal paths). Device work that finished "     \
+    "while the CPU packed the next segment costs nothing here — that "       \
+    "overlap is the point of the backend.")                                  \
+  /* --- Async seal pipeline (all zero in synchronous mode; see              \
+     --- core/seal_pipeline.h) ----------------------------------------- */  \
+  X(uint64_t, seal_queue_enqueued,                                           \
+    "Operations (seals, reclaims, deletes, checkpoints) handed to the "      \
+    "per-shard I/O thread.")                                                 \
+  X(uint64_t, seal_queue_stalls,                                             \
+    "Times a writer blocked because the seal queue was full (backpressure "  \
+    "events, not wall-clock).")                                              \
+  X(uint64_t, group_fsyncs,                                                  \
+    "Group-commit fsync rounds issued by the I/O thread.")                   \
+  X(uint64_t, group_fsync_ops,                                               \
+    "Operations covered by those rounds; group_fsync_ops / group_fsyncs "    \
+    "is the achieved commit-batch size.")                                    \
+  X(uint64_t, checkpoints_written,                                           \
+    "Open-segment checkpoint records persisted (async or periodic).")        \
+  X(uint64_t, checkpoint_rounds,                                             \
+    "Checkpoint rounds executed (each CheckpointOpenSegments pass over "     \
+    "the open segments, whether it emitted records or skipped them all "     \
+    "because the delta chains already covered every entry).")                \
+  X(uint64_t, checkpoint_full_records,                                       \
+    "Full checkpoint records: each re-persists the whole slot payload.")     \
+  X(uint64_t, checkpoint_delta_records,                                      \
+    "Delta checkpoint records: each persists only the suffix appended "      \
+    "since the durable watermark (StoreConfig::checkpoint_delta).")          \
+  X(uint64_t, checkpoint_bytes_written,                                      \
+    "Device bytes spent on checkpointing: payload ranges rewritten plus "    \
+    "the checkpoint metadata records (file backend only; a subset of "       \
+    "device_bytes_written).")                                                \
+  X(uint64_t, withheld_slot_reuses_rehomed,                                  \
+    "Times AllocateSegment reused a slot whose free record is still "        \
+    "withheld after first re-homing the victim's still-needed entries "      \
+    "under a durable re-homing record (reachable only when a policy keeps "  \
+    "more GC destinations open than there are spare free slots — "           \
+    "multi-log at tiny free pools). The torture harness's multi-log "        \
+    "geometry asserts this fires; each such reuse is crash-safe.")           \
+  X(uint64_t, withheld_slot_reuses_plain,                                    \
+    "Times AllocateSegment reused a withheld slot whose victim had no "      \
+    "still-needed entries (all superseded by already-emitted records), so "  \
+    "no re-homing record was required. Plain reuse of a slot that still "    \
+    "holds needed entries is impossible by construction.")                   \
+  X(uint64_t, rehome_entries_written,                                        \
+    "Victim entries persisted into re-homing records before slot reuse.")    \
+  X(uint64_t, rehome_entries_recovered,                                      \
+    "Re-homed entries materialised into fresh segments during Recover.")
+
 namespace lss {
 
 /// Counters accumulated by a StoreShard (ShardedStore::AggregatedStats
@@ -18,117 +118,28 @@ class StoreStats {
  public:
   StoreStats() : clean_emptiness_(0.0, 1.0, 100) {}
 
-  /// Logical user updates submitted via Write().
-  uint64_t user_updates = 0;
-  /// Physical page writes of user data into segments. Differs from
-  /// user_updates when the write buffer absorbs re-updates of a buffered
-  /// page.
-  uint64_t user_pages_written = 0;
-  /// Still-live pages moved by the cleaner (the paper's "page moves",
-  /// §1.2 — the numerator of Wamp).
-  uint64_t gc_pages_written = 0;
-  /// Segments filled with user data and sealed.
-  uint64_t user_segments_sealed = 0;
-  /// Segments filled with GC'd pages and sealed.
-  uint64_t gc_segments_sealed = 0;
-  /// Victim segments reclaimed.
-  uint64_t segments_cleaned = 0;
-  /// Cleaning cycles executed.
-  uint64_t cleanings = 0;
-  /// Deletes (trims) applied.
-  uint64_t deletes = 0;
+#define LSS_STORE_STATS_DECLARE(type, name, doc) type name = 0;
+  LSS_STORE_COUNTERS(LSS_STORE_STATS_DECLARE)
+#undef LSS_STORE_STATS_DECLARE
 
-  // --- Logical byte volume (denominators for device ratios) ----------
-
-  /// Payload bytes of user page versions placed into segments.
-  uint64_t user_bytes_written = 0;
-  /// Payload bytes of GC-moved page versions placed into segments.
-  uint64_t gc_bytes_written = 0;
-
-  // --- Device counters (filled by a real SegmentBackend; all zero on
-  // --- the null backend) ---------------------------------------------
-
-  /// Bytes handed to pwrite (segment payloads plus metadata records).
-  uint64_t device_bytes_written = 0;
-  /// pwrite calls issued.
-  uint64_t device_write_ops = 0;
-  /// fsync/fdatasync calls issued.
-  uint64_t device_fsyncs = 0;
-  /// Payload bytes released back to the filesystem via hole punching.
-  uint64_t device_bytes_punched = 0;
-  /// Wall-clock seconds spent inside pwrite (for the uring backend:
-  /// inside buffer packing + SQE submission, the only part of a payload
-  /// write that blocks the calling thread).
-  double device_write_seconds = 0.0;
-  /// Wall-clock seconds spent inside fsync.
-  double device_fsync_seconds = 0.0;
-
-  // --- io_uring backend (all zero on other backends; see
-  // --- core/uring_backend.h) ------------------------------------------
-
-  /// Shard backends whose capability probe found a working ring (a
-  /// kUring store with uring_available == 0 is running the probe's
-  /// pwrite fallback everywhere). Capability flag, not a measurement:
-  /// ResetMeasurement leaves it alone.
+  /// Shard backends whose io_uring capability probe found a working ring
+  /// (a kUring store with uring_available == 0 is running the probe's
+  /// pwrite fallback everywhere; zero on other backends). Capability
+  /// flag, not a measurement: Merge sums it, ResetMeasurement leaves it
+  /// alone and ForEach does not visit it.
   uint64_t uring_available = 0;
-  /// Payload-write SQEs submitted to the ring.
-  uint64_t uring_submitted = 0;
-  /// CQEs reaped (payload writes + ring-issued fsyncs).
-  uint64_t uring_completed = 0;
-  /// Short payload writes patched with a synchronous pwrite of the
-  /// remainder (essentially ENOSPC territory; always worth surfacing).
-  uint64_t uring_short_writes = 0;
-  /// Wall-clock seconds the calling thread spent waiting on CQEs (the
-  /// durability barrier in Sync/seal paths). Device work that finished
-  /// while the CPU packed the next segment costs nothing here — that
-  /// overlap is the point of the backend.
-  double uring_wait_seconds = 0.0;
 
-  // --- Async seal pipeline (all zero in synchronous mode; see
-  // --- core/seal_pipeline.h) ------------------------------------------
-
-  /// Operations (seals, reclaims, deletes, checkpoints) handed to the
-  /// per-shard I/O thread.
-  uint64_t seal_queue_enqueued = 0;
-  /// Times a writer blocked because the seal queue was full
-  /// (backpressure events, not wall-clock).
-  uint64_t seal_queue_stalls = 0;
-  /// Group-commit fsync rounds issued by the I/O thread.
-  uint64_t group_fsyncs = 0;
-  /// Operations covered by those rounds; group_fsync_ops / group_fsyncs
-  /// is the achieved commit-batch size.
-  uint64_t group_fsync_ops = 0;
-  /// Open-segment checkpoint records persisted (async or periodic).
-  uint64_t checkpoints_written = 0;
-  /// Checkpoint rounds executed (each CheckpointOpenSegments pass over
-  /// the open segments, whether it emitted records or skipped them all
-  /// because the delta chains already covered every entry).
-  uint64_t checkpoint_rounds = 0;
-  /// checkpoints_written split by kind: full records re-persist the
-  /// whole slot payload, delta records only the suffix appended since
-  /// the durable watermark (StoreConfig::checkpoint_delta).
-  uint64_t checkpoint_full_records = 0;
-  uint64_t checkpoint_delta_records = 0;
-  /// Device bytes spent on checkpointing: payload ranges rewritten plus
-  /// the checkpoint metadata records (file backend only; a subset of
-  /// device_bytes_written).
-  uint64_t checkpoint_bytes_written = 0;
-  /// Times AllocateSegment reused a slot whose free record is still
-  /// withheld after first re-homing the victim's still-needed entries
-  /// under a durable re-homing record (reachable only when a policy
-  /// keeps more GC destinations open than there are spare free slots —
-  /// multi-log at tiny free pools). The torture harness's multi-log
-  /// geometry asserts this fires; each such reuse is crash-safe.
-  uint64_t withheld_slot_reuses_rehomed = 0;
-  /// Times AllocateSegment reused a withheld slot whose victim had no
-  /// still-needed entries (all superseded by already-emitted records),
-  /// so no re-homing record was required. Plain reuse of a slot that
-  /// still holds needed entries is impossible by construction.
-  uint64_t withheld_slot_reuses_plain = 0;
-  /// Victim entries persisted into re-homing records before slot reuse.
-  uint64_t rehome_entries_written = 0;
-  /// Re-homed entries materialised into fresh segments during Recover.
-  uint64_t rehome_entries_recovered = 0;
+  /// Calls fn(name, value) for every LSS_STORE_COUNTERS entry, in list
+  /// order. `value` is a uint64_t or double reference, mutable when this
+  /// StoreStats is.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    Visit(*this, fn);
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    Visit(*this, fn);
+  }
 
   /// Total withheld-slot reuses (re-homed + plain).
   uint64_t WithheldSlotReuses() const {
@@ -162,19 +173,13 @@ class StoreStats {
            static_cast<double>(user_bytes_written);
   }
 
-  /// Wall-clock seconds of device work (writes + fsyncs + CQE waits).
-  double DeviceSeconds() const {
-    return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
-  }
-
   /// Wall-clock seconds the thread driving the backend (the seal
   /// pipeline's I/O thread in async mode, the writer itself in sync
-  /// mode) spent *blocked* on device work. For the file backend this is
-  /// all of DeviceSeconds(); for the uring backend the payload pwrite
-  /// time is replaced by submit time + CQE-wait time, so the difference
-  /// against the file backend at equal fsync policy is the overlap the
-  /// ring bought.
-  double BackendBlockingSeconds() const {
+  /// mode) spent blocked on device work: writes + fsyncs + CQE waits.
+  /// For the uring backend device_write_seconds counts only submission,
+  /// so the difference against the file backend at equal fsync policy is
+  /// the overlap the ring bought.
+  double DeviceSeconds() const {
     return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
   }
 
@@ -182,85 +187,29 @@ class StoreStats {
   /// merges per-shard stats on read). Both histograms must share the
   /// default geometry, which every StoreStats does.
   void Merge(const StoreStats& other) {
-    user_updates += other.user_updates;
-    user_pages_written += other.user_pages_written;
-    gc_pages_written += other.gc_pages_written;
-    user_segments_sealed += other.user_segments_sealed;
-    gc_segments_sealed += other.gc_segments_sealed;
-    segments_cleaned += other.segments_cleaned;
-    cleanings += other.cleanings;
-    deletes += other.deletes;
-    user_bytes_written += other.user_bytes_written;
-    gc_bytes_written += other.gc_bytes_written;
-    device_bytes_written += other.device_bytes_written;
-    device_write_ops += other.device_write_ops;
-    device_fsyncs += other.device_fsyncs;
-    device_bytes_punched += other.device_bytes_punched;
-    device_write_seconds += other.device_write_seconds;
-    device_fsync_seconds += other.device_fsync_seconds;
+#define LSS_STORE_STATS_MERGE(type, name, doc) name += other.name;
+    LSS_STORE_COUNTERS(LSS_STORE_STATS_MERGE)
+#undef LSS_STORE_STATS_MERGE
     uring_available += other.uring_available;
-    uring_submitted += other.uring_submitted;
-    uring_completed += other.uring_completed;
-    uring_short_writes += other.uring_short_writes;
-    uring_wait_seconds += other.uring_wait_seconds;
-    seal_queue_enqueued += other.seal_queue_enqueued;
-    seal_queue_stalls += other.seal_queue_stalls;
-    group_fsyncs += other.group_fsyncs;
-    group_fsync_ops += other.group_fsync_ops;
-    checkpoints_written += other.checkpoints_written;
-    checkpoint_rounds += other.checkpoint_rounds;
-    checkpoint_full_records += other.checkpoint_full_records;
-    checkpoint_delta_records += other.checkpoint_delta_records;
-    checkpoint_bytes_written += other.checkpoint_bytes_written;
-    withheld_slot_reuses_rehomed += other.withheld_slot_reuses_rehomed;
-    withheld_slot_reuses_plain += other.withheld_slot_reuses_plain;
-    rehome_entries_written += other.rehome_entries_written;
-    rehome_entries_recovered += other.rehome_entries_recovered;
     clean_emptiness_.Merge(other.clean_emptiness_);
   }
 
-  /// Zeroes all counters; store state is untouched.
+  /// Zeroes all counters; store state is untouched. uring_available is a
+  /// capability set once at Open; zeroing it between warm-up and
+  /// measurement would erase a fact that has not changed, so it survives.
   void ResetMeasurement() {
-    user_updates = 0;
-    user_pages_written = 0;
-    gc_pages_written = 0;
-    user_segments_sealed = 0;
-    gc_segments_sealed = 0;
-    segments_cleaned = 0;
-    cleanings = 0;
-    deletes = 0;
-    user_bytes_written = 0;
-    gc_bytes_written = 0;
-    device_bytes_written = 0;
-    device_write_ops = 0;
-    device_fsyncs = 0;
-    device_bytes_punched = 0;
-    device_write_seconds = 0.0;
-    device_fsync_seconds = 0.0;
-    // uring_available is a capability flag set once at Open; zeroing it
-    // between warmup and measurement would erase a fact that has not
-    // changed, so it deliberately survives.
-    uring_submitted = 0;
-    uring_completed = 0;
-    uring_short_writes = 0;
-    uring_wait_seconds = 0.0;
-    seal_queue_enqueued = 0;
-    seal_queue_stalls = 0;
-    group_fsyncs = 0;
-    group_fsync_ops = 0;
-    checkpoints_written = 0;
-    checkpoint_rounds = 0;
-    checkpoint_full_records = 0;
-    checkpoint_delta_records = 0;
-    checkpoint_bytes_written = 0;
-    withheld_slot_reuses_rehomed = 0;
-    withheld_slot_reuses_plain = 0;
-    rehome_entries_written = 0;
-    rehome_entries_recovered = 0;
+    ForEach([](const char*, auto& value) { value = 0; });
     clean_emptiness_.Reset();
   }
 
  private:
+  template <typename Self, typename Fn>
+  static void Visit(Self& self, Fn& fn) {
+#define LSS_STORE_STATS_VISIT(type, name, doc) fn(#name, self.name);
+    LSS_STORE_COUNTERS(LSS_STORE_STATS_VISIT)
+#undef LSS_STORE_STATS_VISIT
+  }
+
   Histogram clean_emptiness_;
 };
 

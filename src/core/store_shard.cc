@@ -169,13 +169,6 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
     const double old_up2 = CurrentUp2(m.loc);
     up2 = old_up2 + 0.5 * (static_cast<double>(unow_) - old_up2);
     if (m.loc.InBuffer()) {
-      if (config_.absorb_buffered_rewrites) {
-        // Absorb the re-update in place; no physical write happens now.
-        buffer_.Update(m.loc.index, bytes, up2, exact);
-        m.bytes = bytes;
-        m.last_update = unow_;
-        return Status::OK();
-      }
       // Paper accounting: the buffer is a queue of writes, so the
       // superseded copy stays queued and will be flushed as a write that
       // is dead on arrival (it costs a physical page write and becomes
@@ -223,10 +216,7 @@ Status StoreShard::Delete(PageId page) {
   assert(OwnsPage(page));
   PageMeta& m = table_.Ensure(page);
   if (m.loc.InBuffer()) {
-    BufferedWrite& w = buffer_.GetMutable(m.loc.index);
-    // Tombstone the buffer slot; flush skips it. The buffered bytes stay
-    // counted toward the flush threshold, which is harmless.
-    w.page = kInvalidPage;
+    buffer_.Invalidate(m.loc.index);
   } else {
     KillOldVersion(page, m.loc);
   }

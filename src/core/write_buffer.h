@@ -27,8 +27,10 @@ struct BufferedWrite {
 
 /// Buffer that accumulates user page writes so they can be *sorted by
 /// update frequency* before being packed into segments (paper §5.3,
-/// Figure 4). Re-writing a page that is already buffered updates it in
-/// place (write absorption) — the page table points at the slot.
+/// Figure 4). The buffer is a queue of writes, as in the paper's
+/// simulator: re-writing a page that is already buffered marks the queued
+/// copy `superseded` and appends a new slot, which the page table then
+/// points at, so every update costs one physical page write.
 ///
 /// Slots are stable until Flush drains the buffer.
 class WriteBuffer {
@@ -45,21 +47,10 @@ class WriteBuffer {
     return static_cast<uint32_t>(writes_.size() - 1);
   }
 
-  /// Tombstones a slot (deleted or superseded while buffered); flush
-  /// skips it. The buffered byte count keeps the dead bytes so the flush
-  /// threshold still advances under single-page update storms.
+  /// Tombstones a slot whose page was deleted while buffered; flush
+  /// skips it. The buffered byte count keeps the dead bytes, which only
+  /// brings the next flush a little earlier.
   void Invalidate(uint32_t slot) { writes_[slot].page = kInvalidPage; }
-
-  /// In-place update of an existing slot (absorption of a re-update).
-  void Update(uint32_t slot, uint32_t bytes, double up2, double exact_upf) {
-    BufferedWrite& w = writes_[slot];
-    bytes_ = bytes_ - w.bytes + bytes;
-    w.bytes = bytes;
-    w.up2 = up2;
-    w.first_write = false;
-    w.superseded = false;
-    w.exact_upf = exact_upf;
-  }
 
   const BufferedWrite& Get(uint32_t slot) const { return writes_[slot]; }
   BufferedWrite& GetMutable(uint32_t slot) { return writes_[slot]; }

@@ -42,39 +42,19 @@ std::unique_ptr<ShardedStore> MakeVariantStore(const StoreConfig& config,
 // counters (merged snapshots, so async-mode device counters count too).
 RunResult Collect(const ShardedStore& store, const std::string& variant,
                   uint32_t threads, double measure_seconds) {
-  const StoreStats stats = store.AggregatedStats();
   RunResult r;
   r.status = Status::OK();
   r.variant = variant;
-  r.wamp = stats.WriteAmplification();
-  r.mean_clean_emptiness = stats.MeanCleanEmptiness();
-  r.measured_updates = stats.user_updates;
+  r.stats = store.AggregatedStats();
+  r.wamp = r.stats.WriteAmplification();
+  r.mean_clean_emptiness = r.stats.MeanCleanEmptiness();
   r.effective_fill = store.CurrentFillFactor();
-  r.device_bytes_written = stats.device_bytes_written;
-  r.device_bytes_per_user_byte = stats.DeviceBytesPerUserByte();
-  r.device_seconds = stats.DeviceSeconds();
-  r.device_fsyncs = stats.device_fsyncs;
-  r.backend_blocking_seconds = stats.BackendBlockingSeconds();
-  r.uring_available = stats.uring_available;
-  r.uring_submitted = stats.uring_submitted;
-  r.group_fsyncs = stats.group_fsyncs;
-  r.seal_queue_stalls = stats.seal_queue_stalls;
-  r.checkpoints_written = stats.checkpoints_written;
-  r.checkpoint_rounds = stats.checkpoint_rounds;
-  r.checkpoint_full_records = stats.checkpoint_full_records;
-  r.checkpoint_delta_records = stats.checkpoint_delta_records;
-  r.checkpoint_bytes_written = stats.checkpoint_bytes_written;
-  r.withheld_slot_reuses_rehomed = stats.withheld_slot_reuses_rehomed;
-  r.withheld_slot_reuses_plain = stats.withheld_slot_reuses_plain;
-  r.segments_sealed = stats.user_segments_sealed + stats.gc_segments_sealed;
-  r.segments_cleaned = stats.segments_cleaned;
-  r.rehome_entries_written = stats.rehome_entries_written;
   r.threads = threads;
   r.shards = store.num_shards();
   r.measure_seconds = measure_seconds;
   r.updates_per_second =
       measure_seconds > 0
-          ? static_cast<double>(stats.user_updates) / measure_seconds
+          ? static_cast<double>(r.stats.user_updates) / measure_seconds
           : 0.0;
   r.shard_wamp = store.PerShardWriteAmplification();
   return r;

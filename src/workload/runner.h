@@ -27,75 +27,24 @@ struct RunSpec {
   uint64_t seed = 42;
 };
 
-/// Outcome of a run. Counters are aggregated across the store's shards.
+/// Outcome of a run. `stats` is the measured window's StoreStats,
+/// merged across the store's shards: every counter is read from there
+/// (r.stats.device_fsyncs, r.stats.user_updates, ...), so a new counter
+/// needs no field here. The other members are what StoreStats does not
+/// hold: derived ratios, the store's final fill, and the run's shape and
+/// timing.
 struct RunResult {
   Status status;
+  /// Paper figure label of the variant.
+  std::string variant;
+  /// Measured counters, merged across shards (zero when status fails).
+  StoreStats stats;
   /// Measured write amplification (Equation 2).
   double wamp = 0.0;
   /// Mean segment emptiness at clean time during measurement.
   double mean_clean_emptiness = 0.0;
-  /// Updates performed in the measurement phase.
-  uint64_t measured_updates = 0;
   /// Live-bytes / device-bytes at the end (should track fill_factor).
   double effective_fill = 0.0;
-  /// Paper figure label of the variant.
-  std::string variant;
-
-  // --- Device-side measurements (all zero on the null backend) --------
-
-  /// Bytes the backend physically wrote during the measurement phase.
-  uint64_t device_bytes_written = 0;
-  /// Measured device bytes per logical user byte — the device analogue
-  /// of the simulator's 1 + Wamp prediction (plus segment-tail and
-  /// metadata overhead).
-  double device_bytes_per_user_byte = 0.0;
-  /// Wall-clock seconds spent in pwrite + fsync during measurement.
-  double device_seconds = 0.0;
-  /// fsync calls during measurement.
-  uint64_t device_fsyncs = 0;
-  /// Seconds the thread driving the backend spent *blocked* on device
-  /// work (StoreStats::BackendBlockingSeconds): for the file backend all
-  /// of device_seconds, for the uring backend submit + CQE-wait time —
-  /// the difference at equal fsync policy is the overlap the ring bought.
-  double backend_blocking_seconds = 0.0;
-  /// Shards whose io_uring capability probe found a working ring (zero
-  /// on other backends or when the kernel/seccomp disallows io_uring).
-  uint64_t uring_available = 0;
-  /// Payload-write SQEs submitted during measurement (uring backend).
-  uint64_t uring_submitted = 0;
-
-  // --- Async seal pipeline (zero in synchronous mode) -----------------
-
-  /// Group-commit fsync rounds issued by the per-shard I/O threads.
-  uint64_t group_fsyncs = 0;
-  /// Times a writer blocked on a full seal queue (backpressure).
-  uint64_t seal_queue_stalls = 0;
-  /// Open-segment checkpoint records persisted.
-  uint64_t checkpoints_written = 0;
-  /// Checkpoint rounds taken (periodic or barrier-driven sweeps over the
-  /// open segments).
-  uint64_t checkpoint_rounds = 0;
-  /// Full (whole-prefix) checkpoint records among checkpoints_written.
-  uint64_t checkpoint_full_records = 0;
-  /// Delta (suffix-only) checkpoint records among checkpoints_written.
-  uint64_t checkpoint_delta_records = 0;
-  /// Device bytes spent on checkpointing alone (payload suffix or full
-  /// rewrite plus the metadata record).
-  uint64_t checkpoint_bytes_written = 0;
-  /// Withheld-slot reuses that re-homed the slot's still-needed entries
-  /// under a durable record before overwriting it.
-  uint64_t withheld_slot_reuses_rehomed = 0;
-  /// Withheld-slot reuses where nothing needed re-homing.
-  uint64_t withheld_slot_reuses_plain = 0;
-
-  // --- Durable-record accounting (for device-byte predictions) --------
-
-  /// Segments sealed (user + GC) during measurement.
-  uint64_t segments_sealed = 0;
-  /// Victim segments reclaimed by the cleaner during measurement.
-  uint64_t segments_cleaned = 0;
-  /// Entries persisted under re-homing records during measurement.
-  uint64_t rehome_entries_written = 0;
 
   // --- Run shape and timing --------------------------------------------
 

@@ -162,8 +162,8 @@ TEST(ShardedStoreTest, FourShardHotColdGoldenWamp) {
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.shards, 4u);
   EXPECT_EQ(r.wamp, 1.3913143382352942);
-  EXPECT_EQ(r.measured_updates, 13104u);
-  EXPECT_EQ(r.segments_cleaned, 1952u);
+  EXPECT_EQ(r.stats.user_updates, 13104u);
+  EXPECT_EQ(r.stats.segments_cleaned, 1952u);
   EXPECT_EQ(r.mean_clean_emptiness, 0.41838498975409838);
 }
 
@@ -234,10 +234,11 @@ TEST(ShardedStoreTest, OneThreadRunSyntheticGolden) {
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.threads, 1u);
   EXPECT_EQ(r.shards, 1u);
-  // user_pages_written = 10016 and gc_pages_written = 4410 give this Wamp.
+  EXPECT_EQ(r.stats.user_pages_written, 10016u);
+  EXPECT_EQ(r.stats.gc_pages_written, 4410u);
   EXPECT_EQ(r.wamp, 0.44029552715654952);
-  EXPECT_EQ(r.measured_updates, 10000u);
-  EXPECT_EQ(r.segments_cleaned, 904u);
+  EXPECT_EQ(r.stats.user_updates, 10000u);
+  EXPECT_EQ(r.stats.segments_cleaned, 904u);
   EXPECT_EQ(r.mean_clean_emptiness, 0.69510508849557517);
   EXPECT_EQ(r.effective_fill, 0.6103515625);
   ASSERT_EQ(r.shard_wamp.size(), 1u);

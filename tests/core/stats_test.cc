@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
 #include "util/rng.h"
@@ -17,51 +19,61 @@ TEST(StoreStatsTest, WampDefinition) {
   EXPECT_DOUBLE_EQ(s.WriteAmplification(), 1.5);
 }
 
+// Gives every listed counter a distinct non-zero value (1, 2, 3, ...
+// plus `offset`) and returns how many there are.
+int FillCounters(StoreStats* s, int offset) {
+  int n = 0;
+  s->ForEach([&](const char*, auto& value) { value = ++n + offset; });
+  return n;
+}
+
 TEST(StoreStatsTest, ResetMeasurementZeroesEverything) {
   StoreStats s;
-  s.user_updates = 1;
-  s.user_pages_written = 2;
-  s.gc_pages_written = 3;
-  s.segments_cleaned = 4;
-  s.cleanings = 5;
-  s.deletes = 6;
+  ASSERT_GT(FillCounters(&s, 0), 30);  // the whole list, not a stub
   s.mutable_clean_emptiness().Add(0.5);
-  s.seal_queue_enqueued = 7;
-  s.seal_queue_stalls = 8;
-  s.group_fsyncs = 9;
-  s.group_fsync_ops = 10;
-  s.checkpoints_written = 11;
+  s.uring_available = 3;
   s.ResetMeasurement();
-  EXPECT_EQ(s.user_updates, 0u);
-  EXPECT_EQ(s.user_pages_written, 0u);
-  EXPECT_EQ(s.gc_pages_written, 0u);
-  EXPECT_EQ(s.segments_cleaned, 0u);
-  EXPECT_EQ(s.cleanings, 0u);
-  EXPECT_EQ(s.deletes, 0u);
-  EXPECT_EQ(s.seal_queue_enqueued, 0u);
-  EXPECT_EQ(s.seal_queue_stalls, 0u);
-  EXPECT_EQ(s.group_fsyncs, 0u);
-  EXPECT_EQ(s.group_fsync_ops, 0u);
-  EXPECT_EQ(s.checkpoints_written, 0u);
+  s.ForEach([](const char* name, auto value) {
+    EXPECT_EQ(value, decltype(value){0}) << name;
+  });
   EXPECT_EQ(s.clean_emptiness().count(), 0u);
   EXPECT_EQ(s.MeanCleanEmptiness(), 0.0);
+  // A capability flag, not a measurement: it survives the reset.
+  EXPECT_EQ(s.uring_available, 3u);
 }
 
 TEST(StoreStatsTest, MergeCoversPipelineCounters) {
   StoreStats a, b;
-  a.seal_queue_enqueued = 1;
-  a.group_fsyncs = 2;
-  b.seal_queue_enqueued = 3;
-  b.seal_queue_stalls = 4;
-  b.group_fsyncs = 5;
-  b.group_fsync_ops = 6;
-  b.checkpoints_written = 7;
+  FillCounters(&a, 0);
+  FillCounters(&b, 100);
+  a.uring_available = 1;
+  b.uring_available = 2;
+  a.mutable_clean_emptiness().Add(0.25);
+  b.mutable_clean_emptiness().Add(0.75);
   a.Merge(b);
-  EXPECT_EQ(a.seal_queue_enqueued, 4u);
-  EXPECT_EQ(a.seal_queue_stalls, 4u);
-  EXPECT_EQ(a.group_fsyncs, 7u);
-  EXPECT_EQ(a.group_fsync_ops, 6u);
-  EXPECT_EQ(a.checkpoints_written, 7u);
+  int i = 0;
+  a.ForEach([&](const char* name, auto value) {
+    ++i;
+    EXPECT_EQ(value, static_cast<decltype(value)>(i + (i + 100))) << name;
+  });
+  EXPECT_EQ(a.uring_available, 3u);
+  EXPECT_EQ(a.clean_emptiness().count(), 2u);
+  EXPECT_DOUBLE_EQ(a.MeanCleanEmptiness(), 0.5);
+}
+
+// ForEach visits each listed counter once, under its member's name.
+TEST(StoreStatsTest, ForEachNamesMembers) {
+  StoreStats s;
+  s.device_fsyncs = 7;
+  s.uring_wait_seconds = 0.5;
+  int fsyncs = 0, waits = 0;
+  s.ForEach([&](const char* name, auto value) {
+    if (std::string(name) == "device_fsyncs") fsyncs += value == 7;
+    if (std::string(name) == "uring_wait_seconds") waits += value == 0.5;
+    EXPECT_NE(std::string(name), "uring_available");
+  });
+  EXPECT_EQ(fsyncs, 1);
+  EXPECT_EQ(waits, 1);
 }
 
 // End-to-end accounting identity: measured Wamp must equal the ratio

@@ -66,7 +66,7 @@ TEST(RunnerTest, UniformGreedyApproachesAnalyticModel) {
   const double analytic = WampFromEmptiness(SolveSteadyStateEmptiness(f_eff));
   EXPECT_NEAR(r.wamp, analytic, analytic * 0.2) << "analytic=" << analytic;
   EXPECT_EQ(r.variant, "greedy");
-  EXPECT_GT(r.measured_updates, 0u);
+  EXPECT_GT(r.stats.user_updates, 0u);
 }
 
 TEST(RunnerTest, SkewHelpsMdcBeatGreedy) {
@@ -112,7 +112,7 @@ TEST(RunnerTest, TraceReplayMeasuresSuffixOnly) {
   for (int i = 0; i < 5000; ++i) t.AppendWrite(i % 64);
   const RunResult r = RunTrace(base, Variant::kGreedy, t, measure_from);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.measured_updates, 5000u);
+  EXPECT_EQ(r.stats.user_updates, 5000u);
 }
 
 TEST(RunnerTest, TraceReplayWithOracleVariant) {
@@ -206,8 +206,8 @@ TEST(RunnerTest, TraceReplayParallelSingleShardGolden) {
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.shards, 1u);
   EXPECT_EQ(r.wamp, 0.44283913176815348);
-  EXPECT_EQ(r.measured_updates, 29371u);
-  EXPECT_EQ(r.segments_cleaned, 640u);
+  EXPECT_EQ(r.stats.user_updates, 29371u);
+  EXPECT_EQ(r.stats.segments_cleaned, 640u);
   EXPECT_EQ(r.mean_clean_emptiness, 0.68271484375000002);
   EXPECT_EQ(r.effective_fill, 0.591064453125);
 
@@ -299,8 +299,8 @@ TEST(RunnerTest, TraceReplayParallelPresplitGolden) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.shards, shards);
     EXPECT_EQ(r.wamp, 1.4381439734458199);
-    EXPECT_EQ(r.measured_updates, 29371u);
-    EXPECT_EQ(r.segments_cleaned, 1088u);
+    EXPECT_EQ(r.stats.user_updates, 29371u);
+    EXPECT_EQ(r.stats.segments_cleaned, 1088u);
     EXPECT_EQ(r.mean_clean_emptiness, 0.40265969669117646);
     EXPECT_EQ(r.effective_fill, 0.641357421875);
     ASSERT_EQ(r.shard_wamp.size(), shards);
@@ -321,8 +321,8 @@ TEST(RunnerTest, TraceReplayParallelHandlesDeletesAndOracle) {
   EXPECT_EQ(r.shards, 4u);
   // The measured suffix holds 30000 mixed records, ~2% deletes; only
   // writes count as updates.
-  EXPECT_GT(r.measured_updates, 28000u);
-  EXPECT_LT(r.measured_updates, 30000u);
+  EXPECT_GT(r.stats.user_updates, 28000u);
+  EXPECT_LT(r.stats.user_updates, 30000u);
   EXPECT_GT(r.wamp, 0.0);
   EXPECT_EQ(r.shard_wamp.size(), 4u);
 }
