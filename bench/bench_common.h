@@ -89,13 +89,6 @@ inline uint32_t ScaleFactor() {
       EnvInt("LSS_BENCH_SCALE", 1, 1, 1 << 20));
 }
 
-/// LSS_BENCH_URING_DEPTH=N overrides StoreConfig::uring_queue_depth for
-/// uring-backed runs (how many payload writes the ring keeps in flight;
-/// ignored by the other backends).
-inline uint32_t UringDepth(uint32_t def) {
-  return static_cast<uint32_t>(EnvInt("LSS_BENCH_URING_DEPTH", def, 1, 1024));
-}
-
 inline StoreConfig DefaultConfig() {
   StoreConfig cfg;
   cfg.page_bytes = 4096;
@@ -105,9 +98,8 @@ inline StoreConfig DefaultConfig() {
   cfg.clean_batch_segments = 16;
   cfg.write_buffer_segments = 16;
   // LSS_BENCH_BACKEND=<spec> runs any bench over a real segment backend
-  // ("file:DIR", "file-nosync:DIR", "file-direct:DIR", "uring:DIR",
-  // "uring-nosync:DIR"; see ApplyBackendSpec). The default stays
-  // bookkeeping-only.
+  // ("file:DIR", "file-nosync:DIR", "file-direct:DIR"; see
+  // ApplyBackendSpec). The default stays bookkeeping-only.
   if (const char* spec = std::getenv("LSS_BENCH_BACKEND")) {
     Status s = ApplyBackendSpec(spec, &cfg);
     if (!s.ok()) {
@@ -115,7 +107,6 @@ inline StoreConfig DefaultConfig() {
       std::exit(2);
     }
   }
-  cfg.uring_queue_depth = UringDepth(cfg.uring_queue_depth);
   return cfg;
 }
 

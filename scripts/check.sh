@@ -4,7 +4,7 @@
 # This mirrors .github/workflows/ci.yml exactly; if this passes locally,
 # CI should be green.
 #
-# Usage: scripts/check.sh [--tsan|--asan|--torture|--uring] [build-dir]
+# Usage: scripts/check.sh [--tsan|--asan|--torture] [build-dir]
 #   default:  full build + full test suite in ./build
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
@@ -38,15 +38,7 @@
 #             (withheld_slot_reuses_rehomed; a plain reuse of a slot
 #             with still-needed entries cannot happen by construction
 #             and any loss it would cause fails the audit).
-#   --uring:  normal build, then the io_uring gate: the backend parity
-#             suite (byte-identical durable state vs the file backend),
-#             the uring crash-recovery torture geometry, and a bench
-#             smoke through LSS_BENCH_BACKEND=uring:... asserting the
-#             ring actually activated. When the kernel or seccomp
-#             disallows io_uring this mode REPORTS the probe's reason
-#             and exits 0 (the tests skip themselves; the smoke falls
-#             back to synchronous pwrite) — availability is a property
-#             of the host, not of the code under test.
+# Any other --flag prints the usage line and exits 2.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,7 +46,6 @@ cd "$(dirname "$0")/.."
 TSAN=0
 ASAN=0
 TORTURE=0
-URING=0
 if [[ "${1:-}" == "--tsan" ]]; then
   TSAN=1
   shift
@@ -64,9 +55,12 @@ elif [[ "${1:-}" == "--asan" ]]; then
 elif [[ "${1:-}" == "--torture" ]]; then
   TORTURE=1
   shift
-elif [[ "${1:-}" == "--uring" ]]; then
-  URING=1
-  shift
+fi
+# A leftover flag would otherwise be taken as the build directory.
+if [[ "${1:-}" == --* ]]; then
+  echo "check.sh: unknown option '$1'" >&2
+  echo "usage: scripts/check.sh [--tsan|--asan|--torture] [build-dir]" >&2
+  exit 2
 fi
 
 if [[ $TSAN -eq 1 ]]; then
@@ -78,7 +72,6 @@ elif [[ $TORTURE -eq 1 ]]; then
   # the tier-1 ./build.
   BUILD_DIR="${1:-build-torture}"
 else
-  # --uring shares the tier-1 build (same flags, benches ON).
   BUILD_DIR="${1:-build}"
 fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
@@ -122,37 +115,6 @@ if [[ $ASAN -eq 1 ]]; then
   ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
   echo "check.sh: asan green"
-  exit 0
-fi
-
-if [[ $URING -eq 1 ]]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j "$JOBS"
-  # Parity suite + fallback contract + the uring torture geometry. On a
-  # host without io_uring the UringParity*/TortureUringBackend cases
-  # GTEST_SKIP with the probe's reason and UringBackendWorksWithOrWithout-
-  # Ring pins the pwrite fallback — so this pass is green either way.
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R 'Uring|BackendSpec' --timeout 1800
-  # Bench smoke through the ring: the checkpoint sweep with the uring
-  # backend must keep its byte-exact device accounting. Ring activation
-  # is a host property, so its absence is reported, not failed.
-  URING_TMP="$(mktemp -d "${TMPDIR:-/tmp}/lss_uring_check_XXXXXX")"
-  trap 'rm -rf "$URING_TMP"' EXIT
-  LSS_BENCH_SMOKE=1 \
-    LSS_BENCH_BACKEND="uring:$URING_TMP" \
-    LSS_BENCH_IO_DIR="$URING_TMP" \
-    LSS_BENCH_JSON="$URING_TMP/uring_smoke.json" \
-    "$BUILD_DIR/bench/io_backend"
-  grep -q '"bench":"io_backend_ckpt_sweep"' "$URING_TMP/uring_smoke.json"
-  if grep -q '"uring_available":1' "$URING_TMP/uring_smoke.json"; then
-    echo "check.sh: uring smoke ran with a live ring"
-  else
-    echo "check.sh: io_uring unavailable on this host; smoke used the" \
-         "synchronous pwrite fallback (see the 'lss: uring backend'" \
-         "stderr line above for the probe's reason)"
-  fi
-  echo "check.sh: uring green"
   exit 0
 fi
 

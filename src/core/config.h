@@ -13,15 +13,10 @@ namespace lss {
 /// are counted but never performed. kFile gives every shard its own
 /// segment file pair so write-amplification predictions can be compared
 /// against real device traffic, and lets a store survive process
-/// restart (ShardedStore::Open). kUring is
-/// the file backend with payload writes overlapped through a raw
-/// io_uring ring (core/uring_backend.h): same files, byte-identical
-/// metadata log, and a runtime probe that degrades to the synchronous
-/// pwrite path where the kernel or a seccomp filter disallows io_uring.
+/// restart (ShardedStore::Open).
 enum class BackendKind : uint8_t {
   kNull,
   kFile,
-  kUring,
 };
 
 /// Configuration of a store. ShardedStore treats num_segments and
@@ -79,13 +74,6 @@ struct StoreConfig {
   /// device-byte measurements reflect media traffic (kFile only;
   /// requires segment_bytes to be a multiple of 4 KiB).
   bool backend_direct_io = false;
-  /// io_uring submission-queue depth (kUring only): how many payload
-  /// writes may be in flight before a submit blocks reaping
-  /// completions. Also sizes the registered payload-buffer pool, so the
-  /// per-shard memory cost is roughly uring_queue_depth * segment_bytes
-  /// (the pool clamps itself for huge segments).
-  uint32_t uring_queue_depth = 32;
-
   /// Run segment seals asynchronously: the shard hands sealed-in-memory
   /// segments (and reclaims, deletes, checkpoints) to a per-shard I/O
   /// thread through a bounded queue, so device latency leaves the write
@@ -158,18 +146,12 @@ struct StoreConfig {
       return Status::InvalidArgument(
           "clean trigger too large for device size");
     }
-    if ((backend == BackendKind::kFile || backend == BackendKind::kUring) &&
-        backend_dir.empty()) {
-      return Status::InvalidArgument(
-          "file/uring backend requires backend_dir");
+    if (backend == BackendKind::kFile && backend_dir.empty()) {
+      return Status::InvalidArgument("file backend requires backend_dir");
     }
     if (backend != BackendKind::kFile && backend_direct_io) {
       return Status::InvalidArgument(
           "backend_direct_io requires the file backend");
-    }
-    if (backend == BackendKind::kUring && uring_queue_depth < 1) {
-      return Status::InvalidArgument(
-          "uring backend requires uring_queue_depth >= 1");
     }
     if (backend_direct_io && segment_bytes % 4096 != 0) {
       return Status::InvalidArgument(

@@ -1,7 +1,5 @@
 #include "core/io_backend.h"
 
-#include "core/uring_backend.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,8 +52,6 @@ std::unique_ptr<SegmentBackend> MakeBackend(const StoreConfig& config) {
       return std::make_unique<NullBackend>();
     case BackendKind::kFile:
       return std::make_unique<FileBackend>();
-    case BackendKind::kUring:
-      return std::make_unique<UringBackend>();
   }
   return std::make_unique<NullBackend>();
 }
@@ -91,13 +87,6 @@ Status FileBackend::RehomeEntries(const BackendSegmentRecord&) {
   return Status::InvalidArgument("file backend not open");
 }
 Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord&, bool) {
-  return Status::InvalidArgument("file backend not open");
-}
-uint8_t* FileBackend::AcquirePayloadBuffer() { return nullptr; }
-Status FileBackend::WritePayload(const uint8_t*, uint64_t, uint64_t) {
-  return Status::InvalidArgument("file backend not open");
-}
-Status FileBackend::SyncBoth() {
   return Status::InvalidArgument("file backend not open");
 }
 Status FileBackend::Sync() {
@@ -467,10 +456,7 @@ Status FileBackend::AppendMeta(const void* data, size_t len) {
   return Status::OK();
 }
 
-uint8_t* FileBackend::AcquirePayloadBuffer() { return payload_buf_; }
-
-// The base payload write: a blocking full-length pwrite, timed into the
-// device counters. UringBackend overrides this with SQE submission.
+// A blocking full-length pwrite, timed into the device counters.
 Status FileBackend::WritePayload(const uint8_t* buf, uint64_t len,
                                  uint64_t offset) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -612,10 +598,7 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
   // Suffix payload, built at buffer offset (entry.offset - suffix_offset).
   // Entries must tile the declared range exactly — a mismatch means the
   // caller's watermark bookkeeping is broken.
-  uint8_t* buf = AcquirePayloadBuffer();
-  if (buf == nullptr) {
-    return Status::Corruption("delta checkpoint: no payload buffer");
-  }
+  uint8_t* buf = payload_buf_;
   uint64_t cursor = record.suffix_offset;
   for (const Segment::Entry& e : record.entries) {
     if (e.offset != cursor ||
@@ -771,8 +754,7 @@ Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
   // only referencing record dies with the crash. Only entries whose
   // original page is unknown (recovery-reconstructed dead entries, never
   // rewritten) and the unused tail are zero-filled.
-  uint8_t* buf = AcquirePayloadBuffer();
-  if (buf == nullptr) return Status::Corruption("seal: no payload buffer");
+  uint8_t* buf = payload_buf_;
   uint64_t cursor = 0;
   for (const Segment::Entry& e : record.entries) {
     if (cursor + e.bytes > config_.segment_bytes) {
@@ -1213,12 +1195,8 @@ bool FaultInjectionBackend::CrashGate(Status* out,
 }
 
 void FaultInjectionBackend::TearAndDie(const BackendSegmentRecord* record) {
-  // The uring backend shares the file backend's on-disk layout (same
-  // DataPath/MetaPath, byte-identical metadata log), so its crash tear
-  // is the same file surgery.
   const bool file_base =
-      (base_->name() == "file" && config_.backend == BackendKind::kFile) ||
-      (base_->name() == "uring" && config_.backend == BackendKind::kUring);
+      base_->name() == "file" && config_.backend == BackendKind::kFile;
   // Drop the base first: its queued free records and any other pending
   // work die with the "process", never reaching the files we tear below.
   base_->Abandon();

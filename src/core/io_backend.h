@@ -279,12 +279,6 @@ class NullBackend : public SegmentBackend {
 ///
 /// Device counters (bytes written, write/fsync counts and seconds,
 /// bytes punched) accumulate into the shard's StoreStats.
-///
-/// Subclassing: the payload write path is virtual (AcquirePayloadBuffer
-/// / WritePayload / SyncBoth) so UringBackend (core/uring_backend.h) can
-/// overlap payload writes through an io_uring ring while sharing the
-/// metadata serialisation and Scan literally — the two backends produce
-/// byte-identical metadata logs by construction.
 class FileBackend : public SegmentBackend {
  public:
   FileBackend() = default;
@@ -314,35 +308,19 @@ class FileBackend : public SegmentBackend {
   static std::string DataPath(const std::string& dir, uint32_t shard_id);
   static std::string MetaPath(const std::string& dir, uint32_t shard_id);
 
- protected:
+ private:
   // Appends one complete metadata record, consuming one replay ordinal
   // (next_ordinal_) on success — the writer-side mirror of Scan's
   // per-record numbering, which delta records reference as base_ordinal.
   Status AppendMeta(const void* data, size_t len);
 
-  // --- Payload-write seam (overridden by UringBackend) ----------------
+  /// Writes `len` payload bytes from `buf` at `offset` in the data file
+  /// (a blocking pwrite) and accounts the device counters.
+  Status WritePayload(const uint8_t* buf, uint64_t len, uint64_t offset);
 
-  /// Returns the buffer the caller fills with one payload write's bytes
-  /// (at least segment_bytes; 4 KiB-aligned), or nullptr on resource
-  /// exhaustion. The base backend always hands out its single reusable
-  /// payload_buf_; an overlapping backend hands out a pool slot that
-  /// stays owned by the in-flight write until its completion is reaped.
-  virtual uint8_t* AcquirePayloadBuffer();
-
-  /// Writes `len` payload bytes from `buf` (a pointer previously
-  /// returned by AcquirePayloadBuffer) at `offset` in the data file and
-  /// accounts the device counters. The base backend blocks in pwrite;
-  /// an overlapping backend may return after submission only — the
-  /// bytes must be readable and durable-orderable by the next SyncBoth.
-  virtual Status WritePayload(const uint8_t* buf, uint64_t len,
-                              uint64_t offset);
-
-  /// Durability barrier: every payload write issued so far has fully
-  /// completed and both files are fsynced (fsync skipped when
-  /// StoreConfig::backend_fsync is off — but an overlapping backend
-  /// still waits out its in-flight writes, because callers may read or
-  /// rewrite the ranges afterwards). Virtual for exactly that reason.
-  virtual Status SyncBoth();
+  /// Durability barrier: fsyncs both files (skipped when
+  /// StoreConfig::backend_fsync is off).
+  Status SyncBoth();
 
   // Shared payload-write + metadata-append path of SealSegment and
   // Checkpoint (they differ only in record type and durability rules).

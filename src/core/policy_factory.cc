@@ -81,20 +81,18 @@ Status ApplyBackendSpec(const std::string& spec, StoreConfig* config) {
       colon == std::string::npos ? "" : spec.substr(colon + 1);
   const bool is_file =
       kind == "file" || kind == "file-nosync" || kind == "file-direct";
-  const bool is_uring = kind == "uring" || kind == "uring-nosync";
-  if (!is_file && !is_uring) {
+  if (!is_file) {
     return Status::InvalidArgument(
         "unknown backend spec '" + spec +
-        "' (want null | file:DIR | file-nosync:DIR | file-direct:DIR | "
-        "uring:DIR | uring-nosync:DIR)");
+        "' (want null | file:DIR | file-nosync:DIR | file-direct:DIR)");
   }
   if (dir.empty()) {
     return Status::InvalidArgument("backend spec '" + spec +
                                    "' is missing the directory");
   }
-  config->backend = is_uring ? BackendKind::kUring : BackendKind::kFile;
+  config->backend = BackendKind::kFile;
   config->backend_dir = dir;
-  config->backend_fsync = kind != "file-nosync" && kind != "uring-nosync";
+  config->backend_fsync = kind != "file-nosync";
   config->backend_direct_io = kind == "file-direct";
   return Status::OK();
 }
@@ -102,9 +100,7 @@ Status ApplyBackendSpec(const std::string& spec, StoreConfig* config) {
 std::string BackendSpecName(const StoreConfig& config) {
   if (config.backend == BackendKind::kNull) return "null";
   std::string kind;
-  if (config.backend == BackendKind::kUring) {
-    kind = config.backend_fsync ? "uring" : "uring-nosync";
-  } else if (config.backend_direct_io) {
+  if (config.backend_direct_io) {
     kind = "file-direct";
   } else if (!config.backend_fsync) {
     kind = "file-nosync";

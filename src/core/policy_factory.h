@@ -62,10 +62,6 @@ void ApplyVariantConfig(Variant v, StoreConfig* config);
 ///   "file:DIR"           per-shard segment files under DIR, fsync on seal
 ///   "file-nosync:DIR"    same without fsync (page-cache speed)
 ///   "file-direct:DIR"    same with O_DIRECT payload writes
-///   "uring:DIR"          file backend with io_uring-overlapped payload
-///                        writes (core/uring_backend.h; probes at Open
-///                        and falls back to pwrite where unavailable)
-///   "uring-nosync:DIR"   same without fsync
 /// Benches take this via LSS_BENCH_BACKEND; quickstart shows direct use.
 Status ApplyBackendSpec(const std::string& spec, StoreConfig* config);
 

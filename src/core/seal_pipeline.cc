@@ -18,7 +18,7 @@ void SealPipeline::Start() {
   if (started_) return;
   {
     // Publish what Open/Scan already accumulated (recovery device
-    // counters, the uring capability flag) — a snapshot taken before the
+    // counters) — a snapshot taken before the
     // first batch must not read as "no backend activity".
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     published_stats_ = backend_stats_;

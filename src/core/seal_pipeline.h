@@ -31,13 +31,9 @@ namespace lss {
 /// backend_fsync off the Sync() is a metadata no-op but still releases
 /// deferred hole punches.
 ///
-/// With the uring backend the batch's payload writes are merely
-/// *submitted* as ops apply, overlapping with the packing of later ops
-/// in the same batch; the batch-end Sync() reaps every completion
-/// before fsyncing (UringBackend::SyncBoth). applied_ therefore still
-/// advances only once the batch is fully durable, so WaitApplied keeps
-/// its meaning — a waited-on seal's bytes are on the device, readable
-/// by the concurrent ReadPagePayload path — regardless of backend.
+/// applied_ advances only once the batch is fully durable, so a
+/// waited-on seal's bytes are on the device, readable by the concurrent
+/// ReadPagePayload path.
 ///
 /// Threading. Enqueue / WaitApplied / Drain / Shutdown are called by the
 /// shard's owner thread (under the shard lock in a ShardedStore); the

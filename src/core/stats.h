@@ -10,8 +10,8 @@
 /// order, zero-initialised), Merge, ResetMeasurement and ForEach, so
 /// adding a counter is one entry here; the store increments the member
 /// and every bench emitter that walks ForEach picks it up by name.
-/// Not listed: the clean-time emptiness histogram and the
-/// uring_available capability flag, which StoreStats spells by hand.
+/// Not listed: the clean-time emptiness histogram, which StoreStats
+/// spells by hand.
 #define LSS_STORE_COUNTERS(X)                                                \
   /* --- Cleaning (the paper's measurements) --------------------------- */  \
   X(uint64_t, user_updates, "Logical user updates submitted via Write().")   \
@@ -42,24 +42,8 @@
   X(uint64_t, device_fsyncs, "fsync/fdatasync calls issued.")                \
   X(uint64_t, device_bytes_punched,                                          \
     "Payload bytes released back to the filesystem via hole punching.")      \
-  X(double, device_write_seconds,                                            \
-    "Wall-clock seconds spent inside pwrite (for the uring backend: "        \
-    "inside buffer packing + SQE submission, the only part of a payload "    \
-    "write that blocks the calling thread).")                                \
+  X(double, device_write_seconds, "Wall-clock seconds spent inside pwrite.") \
   X(double, device_fsync_seconds, "Wall-clock seconds spent inside fsync.")  \
-  /* --- io_uring backend (all zero on other backends; see                   \
-     --- core/uring_backend.h) ----------------------------------------- */  \
-  X(uint64_t, uring_submitted, "Payload-write SQEs submitted to the ring.")  \
-  X(uint64_t, uring_completed,                                               \
-    "CQEs reaped (payload writes + ring-issued fsyncs).")                    \
-  X(uint64_t, uring_short_writes,                                            \
-    "Short payload writes patched with a synchronous pwrite of the "         \
-    "remainder (essentially ENOSPC territory; always worth surfacing).")     \
-  X(double, uring_wait_seconds,                                              \
-    "Wall-clock seconds the calling thread spent waiting on CQEs (the "      \
-    "durability barrier in Sync/seal paths). Device work that finished "     \
-    "while the CPU packed the next segment costs nothing here — that "       \
-    "overlap is the point of the backend.")                                  \
   /* --- Async seal pipeline (all zero in synchronous mode; see              \
      --- core/seal_pipeline.h) ----------------------------------------- */  \
   X(uint64_t, seal_queue_enqueued,                                           \
@@ -122,13 +106,6 @@ class StoreStats {
   LSS_STORE_COUNTERS(LSS_STORE_STATS_DECLARE)
 #undef LSS_STORE_STATS_DECLARE
 
-  /// Shard backends whose io_uring capability probe found a working ring
-  /// (a kUring store with uring_available == 0 is running the probe's
-  /// pwrite fallback everywhere; zero on other backends). Capability
-  /// flag, not a measurement: Merge sums it, ResetMeasurement leaves it
-  /// alone and ForEach does not visit it.
-  uint64_t uring_available = 0;
-
   /// Calls fn(name, value) for every LSS_STORE_COUNTERS entry, in list
   /// order. `value` is a uint64_t or double reference, mutable when this
   /// StoreStats is.
@@ -175,12 +152,9 @@ class StoreStats {
 
   /// Wall-clock seconds the thread driving the backend (the seal
   /// pipeline's I/O thread in async mode, the writer itself in sync
-  /// mode) spent blocked on device work: writes + fsyncs + CQE waits.
-  /// For the uring backend device_write_seconds counts only submission,
-  /// so the difference against the file backend at equal fsync policy is
-  /// the overlap the ring bought.
+  /// mode) spent blocked on device work: writes + fsyncs.
   double DeviceSeconds() const {
-    return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
+    return device_write_seconds + device_fsync_seconds;
   }
 
   /// Accumulates another store's counters into this one (ShardedStore
@@ -190,13 +164,10 @@ class StoreStats {
 #define LSS_STORE_STATS_MERGE(type, name, doc) name += other.name;
     LSS_STORE_COUNTERS(LSS_STORE_STATS_MERGE)
 #undef LSS_STORE_STATS_MERGE
-    uring_available += other.uring_available;
     clean_emptiness_.Merge(other.clean_emptiness_);
   }
 
-  /// Zeroes all counters; store state is untouched. uring_available is a
-  /// capability set once at Open; zeroing it between warm-up and
-  /// measurement would erase a fact that has not changed, so it survives.
+  /// Zeroes all counters; store state is untouched.
   void ResetMeasurement() {
     ForEach([](const char*, auto& value) { value = 0; });
     clean_emptiness_.Reset();

@@ -1,19 +1,9 @@
 #include "core/uring_backend.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
-// Raw io_uring: the three syscalls plus the mmap'd ring ABI from
-// <linux/io_uring.h>. No liburing — the ring protocol is small enough
-// to speak directly, and the container toolchain has no liburing to
-// link against. Everything ring-specific compiles only where the
-// kernel header exists; elsewhere the class degrades to FileBackend
-// semantics at compile time, mirroring the runtime probe fallback.
 #if defined(__linux__) && defined(__has_include)
 #if __has_include(<linux/io_uring.h>)
 #define LSS_URING_SYSCALLS 1
@@ -22,9 +12,7 @@
 
 #if defined(LSS_URING_SYSCALLS)
 #include <linux/io_uring.h>
-#include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 // The io_uring syscall numbers are uniform across architectures (added
@@ -36,290 +24,27 @@
 #ifndef __NR_io_uring_enter
 #define __NR_io_uring_enter 426
 #endif
-#ifndef __NR_io_uring_register
-#define __NR_io_uring_register 427
-#endif
-#else
-#include <unistd.h>
 #endif  // LSS_URING_SYSCALLS
 
 namespace lss {
 
-namespace {
-
-// Local copies of io_backend.cc's file-scope helpers (they live in its
-// anonymous namespace deliberately — the .cc files share no internals).
-Status UringErrnoStatus(const char* what, int err) {
-  const std::string msg = std::string(what) + ": " + std::strerror(err);
-  if (err == ENOSPC || err == EDQUOT) return Status::OutOfSpace(msg);
-  return Status::Corruption(msg);
-}
-
-double UringSecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 #if defined(LSS_URING_SYSCALLS)
 
-Status UringPwriteAll(int fd, const void* data, size_t len, uint64_t offset) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::pwrite(fd, p, len, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return UringErrnoStatus("pwrite", errno);
-    }
-    p += n;
-    offset += static_cast<uint64_t>(n);
-    len -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
+namespace {
 
-// io_uring_enter, retrying EINTR. Returns 0 or the failing errno (so
-// callers can special-case EBUSY = CQ backlog).
+// io_uring_enter, retrying EINTR. Returns 0 or the failing errno.
 int RawEnter(int fd, unsigned to_submit, unsigned min_complete,
              unsigned flags) {
   while (true) {
     const long r = syscall(__NR_io_uring_enter, fd, to_submit, min_complete,
                            flags, nullptr, 0);
-    if (r >= 0) {
-      // A short submit leaves SQEs queued; with our submit-immediately
-      // protocol that only happens on kernel-side resource pressure.
-      if (to_submit > 0 && static_cast<unsigned long>(r) < to_submit) {
-        return EBUSY;
-      }
-      return 0;
-    }
+    if (r >= 0) return 0;
     if (errno == EINTR) continue;
     return errno;
   }
 }
 
-constexpr uint64_t kFsyncUserData = ~0ull;
-
-// Soft ceiling on the per-shard payload-buffer slab. Two slots minimum
-// keeps pack-next-while-writing-previous overlap even for segments
-// bigger than the ceiling.
-constexpr uint64_t kMaxPoolBytes = 64ull << 20;
-
-#endif  // LSS_URING_SYSCALLS
-
 }  // namespace
-
-UringBackend::~UringBackend() { Close(); }
-
-Status UringBackend::Open(const StoreConfig& config, uint32_t shard_id,
-                          uint32_t num_shards, StoreStats* stats,
-                          bool recover) {
-  Status s = FileBackend::Open(config, shard_id, num_shards, stats, recover);
-  if (!s.ok()) return s;
-  std::string reason;
-  if (!SetupRing(&reason)) {
-    fallback_reason_ = reason;
-    std::fprintf(stderr,
-                 "lss: uring backend (shard %u): %s; "
-                 "using synchronous pwrite fallback\n",
-                 shard_id, reason.c_str());
-    return Status::OK();
-  }
-  fallback_reason_.clear();
-  if (stats_ != nullptr) stats_->uring_available += 1;
-  return Status::OK();
-}
-
-Status UringBackend::Close() {
-  // Base Close drains reclaims and calls the *virtual* SyncBoth, so the
-  // ring's in-flight writes are reaped while the files are still open;
-  // only then is the ring itself torn down.
-  Status s = FileBackend::Close();
-  DestroyRing();
-  return s;
-}
-
-// Power loss: SQEs already handed to the kernel are writes the device
-// was performing — the simulated crash cannot un-issue them, so
-// DestroyRing waits them out (ignoring results) and the torture tear
-// operates on deterministic file state. Everything not yet submitted
-// (queued free records, punches) dies with the base Abandon, exactly
-// like FileBackend's unsynced appends.
-void UringBackend::Abandon() {
-  DestroyRing();
-  FileBackend::Abandon();
-}
-
-#if defined(LSS_URING_SYSCALLS)
-
-bool UringBackend::SetupRing(std::string* reason) {
-  DestroyRing();
-
-  struct io_uring_params params;
-  std::memset(&params, 0, sizeof(params));
-  const uint32_t depth =
-      std::min<uint32_t>(std::max<uint32_t>(config_.uring_queue_depth, 1u),
-                         1024u);
-  const long fd = syscall(__NR_io_uring_setup, depth, &params);
-  if (fd < 0) {
-    *reason = std::string("io_uring_setup: ") + std::strerror(errno);
-    return false;
-  }
-  ring_fd_ = static_cast<int>(fd);
-
-  sq_ring_bytes_ =
-      params.sq_off.array + params.sq_entries * sizeof(uint32_t);
-  cq_ring_bytes_ =
-      params.cq_off.cqes + params.cq_entries * sizeof(struct io_uring_cqe);
-  single_mmap_ = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-  if (single_mmap_) {
-    sq_ring_bytes_ = cq_ring_bytes_ = std::max(sq_ring_bytes_, cq_ring_bytes_);
-  }
-
-  sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-  if (sq_ring_ == MAP_FAILED) {
-    sq_ring_ = nullptr;
-    *reason = std::string("mmap sq ring: ") + std::strerror(errno);
-    DestroyRing();
-    return false;
-  }
-  if (single_mmap_) {
-    cq_ring_ = sq_ring_;
-  } else {
-    cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-    if (cq_ring_ == MAP_FAILED) {
-      cq_ring_ = nullptr;
-      *reason = std::string("mmap cq ring: ") + std::strerror(errno);
-      DestroyRing();
-      return false;
-    }
-  }
-  sqes_bytes_ = params.sq_entries * sizeof(struct io_uring_sqe);
-  sqes_ = ::mmap(nullptr, sqes_bytes_, PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES);
-  if (sqes_ == MAP_FAILED) {
-    sqes_ = nullptr;
-    *reason = std::string("mmap sqes: ") + std::strerror(errno);
-    DestroyRing();
-    return false;
-  }
-
-  uint8_t* sq = static_cast<uint8_t*>(sq_ring_);
-  sq_head_ = reinterpret_cast<uint32_t*>(sq + params.sq_off.head);
-  sq_tail_ = reinterpret_cast<uint32_t*>(sq + params.sq_off.tail);
-  sq_mask_ = *reinterpret_cast<uint32_t*>(sq + params.sq_off.ring_mask);
-  sq_array_ = reinterpret_cast<uint32_t*>(sq + params.sq_off.array);
-  sq_entries_ = params.sq_entries;
-  uint8_t* cq = static_cast<uint8_t*>(cq_ring_);
-  cq_head_ = reinterpret_cast<uint32_t*>(cq + params.cq_off.head);
-  cq_tail_ = reinterpret_cast<uint32_t*>(cq + params.cq_off.tail);
-  cq_mask_ = *reinterpret_cast<uint32_t*>(cq + params.cq_off.ring_mask);
-  cqes_ = cq + params.cq_off.cqes;
-
-  // Smoke-test io_uring_enter through the real ring: setup succeeding
-  // while enter is seccomp-filtered is exactly the situation the probe
-  // exists for. A NOP must come back as one CQE.
-  {
-    const uint32_t tail = *sq_tail_;
-    const uint32_t idx = tail & sq_mask_;
-    struct io_uring_sqe* sqe =
-        static_cast<struct io_uring_sqe*>(sqes_) + idx;
-    std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode = IORING_OP_NOP;
-    sqe->user_data = kFsyncUserData;
-    sq_array_[idx] = idx;
-    __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-    const int err = RawEnter(ring_fd_, 1, 1, IORING_ENTER_GETEVENTS);
-    if (err != 0) {
-      *reason = std::string("io_uring_enter: ") + std::strerror(err);
-      DestroyRing();
-      return false;
-    }
-    const uint32_t ctail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    if (ctail == *cq_head_) {
-      *reason = "io_uring NOP produced no completion";
-      DestroyRing();
-      return false;
-    }
-    __atomic_store_n(cq_head_, ctail, __ATOMIC_RELEASE);
-  }
-
-  // Payload-buffer pool: enough slots to keep the configured depth of
-  // writes in flight, clamped so the slab stays modest.
-  slot_bytes_ = config_.segment_bytes;
-  const uint64_t cap_by_bytes =
-      std::max<uint64_t>(2, kMaxPoolBytes / slot_bytes_);
-  pool_slots_ = static_cast<uint32_t>(std::min<uint64_t>(
-      std::min<uint64_t>(depth, sq_entries_), cap_by_bytes));
-  pool_slots_ = std::max<uint32_t>(pool_slots_, 2);
-  void* slab = nullptr;
-  if (::posix_memalign(&slab, 4096, pool_slots_ * slot_bytes_) != 0) {
-    *reason = "posix_memalign for payload pool failed";
-    DestroyRing();
-    return false;
-  }
-  pool_ = static_cast<uint8_t*>(slab);
-  free_slots_.clear();
-  for (uint32_t i = pool_slots_; i > 0; --i) free_slots_.push_back(i - 1);
-  inflight_.assign(pool_slots_, Inflight{});
-  inflight_count_ = 0;
-  fsync_inflight_ = false;
-  acquired_slot_ = kNoSlot;
-  patched_since_sync_ = false;
-  ring_error_ = Status::OK();
-
-  // Optional accelerations; either registration may be refused (memlock
-  // rlimits, older kernels) without costing correctness — the SQEs then
-  // carry raw addresses / the raw fd.
-  std::vector<struct iovec> iov(pool_slots_);
-  for (uint32_t i = 0; i < pool_slots_; ++i) {
-    iov[i].iov_base = pool_ + static_cast<uint64_t>(i) * slot_bytes_;
-    iov[i].iov_len = slot_bytes_;
-  }
-  fixed_buffers_ = syscall(__NR_io_uring_register, ring_fd_,
-                           IORING_REGISTER_BUFFERS, iov.data(),
-                           pool_slots_) == 0;
-  int data_fd = data_fd_;
-  fixed_file_ = syscall(__NR_io_uring_register, ring_fd_,
-                        IORING_REGISTER_FILES, &data_fd, 1u) == 0;
-  return true;
-}
-
-void UringBackend::DestroyRing() {
-  if (ring_fd_ >= 0) {
-    // Wait out submitted writes — the kernel still owns our buffers and
-    // the file range; see the Abandon() comment. Results no longer
-    // matter, only that the I/O has stopped.
-    while (inflight_count_ > 0 || fsync_inflight_) {
-      const int err = RawEnter(ring_fd_, 0, 1, IORING_ENTER_GETEVENTS);
-      ReapCompletions();
-      if (err != 0 && err != EBUSY) break;
-    }
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_bytes_);
-    if (cq_ring_ != nullptr && !single_mmap_) ::munmap(cq_ring_, cq_ring_bytes_);
-    if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_bytes_);
-    ::close(ring_fd_);
-    ring_fd_ = -1;
-  }
-  sq_ring_ = cq_ring_ = sqes_ = cqes_ = nullptr;
-  sq_head_ = sq_tail_ = sq_array_ = cq_head_ = cq_tail_ = nullptr;
-  sq_ring_bytes_ = cq_ring_bytes_ = sqes_bytes_ = 0;
-  sq_mask_ = sq_entries_ = cq_mask_ = 0;
-  single_mmap_ = false;
-  fixed_buffers_ = fixed_file_ = false;
-  std::free(pool_);
-  pool_ = nullptr;
-  pool_slots_ = 0;
-  slot_bytes_ = 0;
-  free_slots_.clear();
-  inflight_.clear();
-  inflight_count_ = 0;
-  fsync_inflight_ = false;
-  acquired_slot_ = kNoSlot;
-  patched_since_sync_ = false;
-  ring_error_ = Status::OK();
-}
 
 bool UringBackend::ProbeAvailable(std::string* reason) {
   struct io_uring_params params;
@@ -345,287 +70,7 @@ bool UringBackend::ProbeAvailable(std::string* reason) {
   return true;
 }
 
-uint8_t* UringBackend::AcquirePayloadBuffer() {
-  if (!ring_active()) return FileBackend::AcquirePayloadBuffer();
-  if (acquired_slot_ != kNoSlot) {
-    // The previous acquisition never reached WritePayload (its caller
-    // bailed out before submitting); hand the same slot out again.
-    return pool_ + static_cast<uint64_t>(acquired_slot_) * slot_bytes_;
-  }
-  // Opportunistically reap finished writes; block only when every slot
-  // is pinned under an in-flight write (the queue-depth backpressure).
-  if (!ReapCompletions().ok()) return nullptr;
-  while (free_slots_.empty()) {
-    if (!WaitAndReap().ok()) return nullptr;
-  }
-  acquired_slot_ = free_slots_.back();
-  free_slots_.pop_back();
-  return pool_ + static_cast<uint64_t>(acquired_slot_) * slot_bytes_;
-}
-
-Status UringBackend::WritePayload(const uint8_t* buf, uint64_t len,
-                                  uint64_t offset) {
-  if (!ring_active()) return FileBackend::WritePayload(buf, len, offset);
-  if (!ring_error_.ok()) return ring_error_;
-  const uint32_t slot = acquired_slot_;
-  if (slot == kNoSlot ||
-      buf != pool_ + static_cast<uint64_t>(slot) * slot_bytes_) {
-    return Status::InvalidArgument("uring write without an acquired buffer");
-  }
-  if (len > slot_bytes_) {
-    return Status::InvalidArgument("uring write exceeds pool slot");
-  }
-  // Completion-order fence: an in-flight write overlapping this range
-  // must finish first, or the device could surface the older bytes (a
-  // reseal racing its own slot's earlier checkpoint). Rare enough that
-  // waiting beats tracking finer dependencies.
-  Status s = AwaitRange(offset, len);
-  if (!s.ok()) return s;
-  const auto t0 = std::chrono::steady_clock::now();
-  s = SubmitWrite(slot, len, offset);
-  if (!s.ok()) return s;
-  acquired_slot_ = kNoSlot;
-  inflight_[slot].offset = offset;
-  inflight_[slot].len = len;
-  inflight_[slot].active = true;
-  ++inflight_count_;
-  if (stats_ != nullptr) {
-    stats_->device_bytes_written += len;
-    stats_->device_write_ops += 1;
-    stats_->device_write_seconds += UringSecondsSince(t0);
-    stats_->uring_submitted += 1;
-  }
-  return Status::OK();
-}
-
-Status UringBackend::SyncBoth() {
-  if (!ring_active()) return FileBackend::SyncBoth();
-  if (!ring_error_.ok()) return ring_error_;
-  Status s = ReapCompletions();
-  if (!s.ok()) return s;
-  if (inflight_count_ == 0 && !fsync_inflight_) {
-    // Nothing in flight: a plain fsync pair covers everything already
-    // written, including any short-write patches.
-    patched_since_sync_ = false;
-    return FileBackend::SyncBoth();
-  }
-  const bool want_fsync = config_.backend_fsync && data_fd_ >= 0;
-  if (want_fsync) {
-    // Ordered behind every in-flight write by IOSQE_IO_DRAIN, so one
-    // ring submission covers the whole batch — the group-commit shape.
-    s = SubmitFsync();
-    if (!s.ok()) return s;
-  }
-  s = AwaitInflight();
-  if (!s.ok()) return s;
-  if (!config_.backend_fsync) {
-    // Completion barrier only (callers may read or rewrite the ranges);
-    // durability is declined exactly like the base backend declines it.
-    patched_since_sync_ = false;
-    return Status::OK();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  uint64_t synced = 1;  // the ring fsync reaped above
-  if (patched_since_sync_ && data_fd_ >= 0) {
-    // A short write was patched with a synchronous pwrite, possibly
-    // after the ring fsync entered the queue; re-cover it.
-    if (::fsync(data_fd_) != 0) {
-      return UringErrnoStatus("fsync data file", errno);
-    }
-    ++synced;
-  }
-  patched_since_sync_ = false;
-  if (meta_fd_ >= 0) {
-    if (::fsync(meta_fd_) != 0) {
-      return UringErrnoStatus("fsync meta file", errno);
-    }
-    ++synced;
-  }
-  if (stats_ != nullptr) {
-    stats_->device_fsyncs += synced;
-    stats_->device_fsync_seconds += UringSecondsSince(t0);
-  }
-  return Status::OK();
-}
-
-Status UringBackend::SubmitWrite(uint32_t slot, uint64_t len,
-                                 uint64_t offset) {
-  const uint32_t tail = *sq_tail_;
-  const uint32_t head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-  if (tail - head >= sq_entries_) {
-    // Cannot happen with the submit-immediately protocol (every SQE is
-    // consumed by the enter that follows it), but fail loudly if it does.
-    return Status::Corruption("io_uring submission queue full");
-  }
-  const uint32_t idx = tail & sq_mask_;
-  struct io_uring_sqe* sqe = static_cast<struct io_uring_sqe*>(sqes_) + idx;
-  std::memset(sqe, 0, sizeof(*sqe));
-  sqe->opcode = fixed_buffers_ ? IORING_OP_WRITE_FIXED : IORING_OP_WRITE;
-  sqe->fd = fixed_file_ ? 0 : data_fd_;
-  if (fixed_file_) sqe->flags |= IOSQE_FIXED_FILE;
-  sqe->addr = reinterpret_cast<uint64_t>(
-      pool_ + static_cast<uint64_t>(slot) * slot_bytes_);
-  sqe->len = static_cast<uint32_t>(len);
-  sqe->off = offset;
-  if (fixed_buffers_) sqe->buf_index = static_cast<uint16_t>(slot);
-  sqe->user_data = slot;
-  sq_array_[idx] = idx;
-  __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-  while (true) {
-    const int err = RawEnter(ring_fd_, 1, 0, 0);
-    if (err == 0) return Status::OK();
-    if (err == EBUSY || err == EAGAIN) {
-      // CQ backlog: reap and retry the submission.
-      Status s = ReapCompletions();
-      if (!s.ok()) return s;
-      continue;
-    }
-    return UringErrnoStatus("io_uring_enter (submit write)", err);
-  }
-}
-
-Status UringBackend::SubmitFsync() {
-  const uint32_t tail = *sq_tail_;
-  const uint32_t head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-  if (tail - head >= sq_entries_) {
-    return Status::Corruption("io_uring submission queue full");
-  }
-  const uint32_t idx = tail & sq_mask_;
-  struct io_uring_sqe* sqe = static_cast<struct io_uring_sqe*>(sqes_) + idx;
-  std::memset(sqe, 0, sizeof(*sqe));
-  sqe->opcode = IORING_OP_FSYNC;
-  sqe->fd = fixed_file_ ? 0 : data_fd_;
-  // IO_DRAIN orders the fsync behind every previously submitted SQE, so
-  // it covers exactly the writes this barrier promises.
-  sqe->flags = IOSQE_IO_DRAIN;
-  if (fixed_file_) sqe->flags |= IOSQE_FIXED_FILE;
-  sqe->user_data = kFsyncUserData;
-  sq_array_[idx] = idx;
-  __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-  while (true) {
-    const int err = RawEnter(ring_fd_, 1, 0, 0);
-    if (err == 0) break;
-    if (err == EBUSY || err == EAGAIN) {
-      Status s = ReapCompletions();
-      if (!s.ok()) return s;
-      continue;
-    }
-    return UringErrnoStatus("io_uring_enter (submit fsync)", err);
-  }
-  fsync_inflight_ = true;
-  return Status::OK();
-}
-
-Status UringBackend::ReapCompletions() {
-  // Consumes unconditionally (DestroyRing's drain relies on that); the
-  // sticky error only decides what is reported.
-  Status result = Status::OK();
-  uint32_t head = *cq_head_;
-  const uint32_t tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-  while (head != tail) {
-    const struct io_uring_cqe* cqe =
-        static_cast<const struct io_uring_cqe*>(cqes_) + (head & cq_mask_);
-    const uint64_t ud = cqe->user_data;
-    const int32_t res = cqe->res;
-    ++head;
-    if (stats_ != nullptr) stats_->uring_completed += 1;
-    if (ud == kFsyncUserData) {
-      fsync_inflight_ = false;
-      if (res < 0 && result.ok()) {
-        result = UringErrnoStatus("io_uring fsync", -res);
-      }
-      continue;
-    }
-    if (ud >= inflight_.size() || !inflight_[ud].active) {
-      if (result.ok()) {
-        result = Status::Corruption("io_uring completion for unknown write");
-      }
-      continue;
-    }
-    Inflight& f = inflight_[ud];
-    if (res < 0) {
-      if (result.ok()) result = UringErrnoStatus("io_uring write", -res);
-    } else if (static_cast<uint64_t>(res) < f.len) {
-      // Short write (ENOSPC territory): complete the remainder with a
-      // synchronous pwrite; the next barrier re-covers it with a plain
-      // fsync in case its ring fsync was already queued.
-      Status p = UringPwriteAll(
-          data_fd_,
-          pool_ + static_cast<uint64_t>(ud) * slot_bytes_ +
-              static_cast<uint64_t>(res),
-          f.len - static_cast<uint64_t>(res),
-          f.offset + static_cast<uint64_t>(res));
-      if (!p.ok() && result.ok()) result = p;
-      patched_since_sync_ = true;
-      if (stats_ != nullptr) stats_->uring_short_writes += 1;
-    }
-    f.active = false;
-    --inflight_count_;
-    free_slots_.push_back(static_cast<uint32_t>(ud));
-  }
-  __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-  if (!result.ok() && ring_error_.ok()) ring_error_ = result;
-  return ring_error_.ok() ? result : ring_error_;
-}
-
-Status UringBackend::WaitAndReap() {
-  if (!ring_error_.ok()) return ring_error_;
-  if (inflight_count_ == 0 && !fsync_inflight_) {
-    return Status::Corruption("io_uring wait with nothing in flight");
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const int err = RawEnter(ring_fd_, 0, 1, IORING_ENTER_GETEVENTS);
-  if (stats_ != nullptr) {
-    stats_->uring_wait_seconds += UringSecondsSince(t0);
-  }
-  if (err != 0 && err != EBUSY) {
-    return UringErrnoStatus("io_uring_enter (wait)", err);
-  }
-  return ReapCompletions();
-}
-
-Status UringBackend::AwaitInflight() {
-  Status s = ReapCompletions();
-  if (!s.ok()) return s;
-  while (inflight_count_ > 0 || fsync_inflight_) {
-    s = WaitAndReap();
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-Status UringBackend::AwaitRange(uint64_t offset, uint64_t len) {
-  while (true) {
-    Status s = ReapCompletions();
-    if (!s.ok()) return s;
-    bool overlap = false;
-    for (const Inflight& f : inflight_) {
-      if (f.active && f.offset < offset + len && offset < f.offset + f.len) {
-        overlap = true;
-        break;
-      }
-    }
-    if (!overlap) return Status::OK();
-    s = WaitAndReap();
-    if (!s.ok()) return s;
-  }
-}
-
 #else  // !LSS_URING_SYSCALLS
-
-// Without the kernel header the ring can never activate: SetupRing
-// reports the platform, every seam delegates to the base class (the
-// ring_active() guards all read false), and the class still links.
-
-bool UringBackend::SetupRing(std::string* reason) {
-  *reason = "io_uring requires Linux with <linux/io_uring.h>";
-  return false;
-}
-
-void UringBackend::DestroyRing() {
-  std::free(pool_);
-  pool_ = nullptr;
-}
 
 bool UringBackend::ProbeAvailable(std::string* reason) {
   if (reason != nullptr) {
@@ -633,35 +78,6 @@ bool UringBackend::ProbeAvailable(std::string* reason) {
   }
   return false;
 }
-
-uint8_t* UringBackend::AcquirePayloadBuffer() {
-  return FileBackend::AcquirePayloadBuffer();
-}
-
-Status UringBackend::WritePayload(const uint8_t* buf, uint64_t len,
-                                  uint64_t offset) {
-  return FileBackend::WritePayload(buf, len, offset);
-}
-
-Status UringBackend::SyncBoth() { return FileBackend::SyncBoth(); }
-
-Status UringBackend::SubmitWrite(uint32_t, uint64_t, uint64_t) {
-  return Status::InvalidArgument("io_uring unavailable");
-}
-
-Status UringBackend::SubmitFsync() {
-  return Status::InvalidArgument("io_uring unavailable");
-}
-
-Status UringBackend::ReapCompletions() { return Status::OK(); }
-
-Status UringBackend::WaitAndReap() {
-  return Status::InvalidArgument("io_uring unavailable");
-}
-
-Status UringBackend::AwaitInflight() { return Status::OK(); }
-
-Status UringBackend::AwaitRange(uint64_t, uint64_t) { return Status::OK(); }
 
 #endif  // LSS_URING_SYSCALLS
 

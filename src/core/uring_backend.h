@@ -1,157 +1,20 @@
 #ifndef LSS_CORE_URING_BACKEND_H_
 #define LSS_CORE_URING_BACKEND_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "core/io_backend.h"
 
 namespace lss {
 
-/// FileBackend with payload writes overlapped through a raw io_uring
-/// ring (io_uring_setup / io_uring_enter + mmap'd SQ/CQ rings — no
-/// liburing). Same files, same append+checksum metadata log, same Scan:
-/// the two backends produce byte-identical durable state by
-/// construction, because everything except the payload-write seam is
-/// literally shared code.
-///
-/// What overlaps: a seal's (or checkpoint's) whole-segment payload
-/// write is packed into a pool buffer and submitted as one SQE; the
-/// call returns after submission, so the pipeline thread packs the next
-/// segment while the kernel writes the previous one. The metadata
-/// append stays a synchronous pwrite — it is tiny, and keeping it
-/// synchronous keeps the log byte-identical to FileBackend's with zero
-/// ordering analysis.
-///
-/// What the crash-ordering argument rests on: completion tracking, not
-/// submission order. SyncBoth() — the durability barrier every caller
-/// already goes through (per-op in sync mode, per-batch group commit in
-/// async mode, forced inside RehomeEntries) — first submits an
-/// IORING_OP_FSYNC ordered behind every in-flight write with
-/// IOSQE_IO_DRAIN, then reaps CQEs until nothing is in flight, checking
-/// every completion's result (short writes are patched with a
-/// synchronous pwrite and re-covered by a plain fsync). So when
-/// SyncBoth returns, every payload byte it promises is verifiably on
-/// the file, exactly as after FileBackend's pwrite+fsync — the
-/// free-withheld-until-successors-sealed and rehome-barrier invariants
-/// carry over unchanged. Two extra fences close the remaining windows:
-/// a write submission first waits out any in-flight write overlapping
-/// its byte range (a reseal racing its own slot's earlier checkpoint
-/// must not let completion order pick the payload), and Abandon() waits
-/// out submitted writes before releasing the files (submitted I/O is
-/// DMA the simulated power loss does not un-issue), so the crash-torture
-/// tear operates on deterministic file state.
-///
-/// Capability probe: io_uring may be compiled out of the kernel or
-/// blocked by seccomp (common in CI containers). Open() probes by
-/// actually building the ring and pushing a NOP through it; on failure
-/// the instance logs the reason once and runs FileBackend's synchronous
-/// path verbatim (name() still reports "uring"; the probe outcome is
-/// visible as StoreStats::uring_available and fallback_reason()).
-class UringBackend : public FileBackend {
+/// The io_uring backend was deleted (docs/ARCHITECTURE.md, "io_uring: a
+/// negative result"); only its capability probe is left, because
+/// perfbench's HOST stamp reports it. It goes with the next change to
+/// the benchmark.
+class UringBackend {
  public:
-  UringBackend() = default;
-  ~UringBackend() override;
-
-  UringBackend(const UringBackend&) = delete;
-  UringBackend& operator=(const UringBackend&) = delete;
-
-  Status Open(const StoreConfig& config, uint32_t shard_id,
-              uint32_t num_shards, StoreStats* stats, bool recover) override;
-  Status Close() override;
-  void Abandon() override;
-  std::string name() const override { return "uring"; }
-
-  /// True when Open's probe found a working ring; false means every
-  /// operation runs FileBackend's synchronous path.
-  bool ring_active() const { return ring_fd_ >= 0; }
-  /// Why the ring is inactive (empty while active or before Open).
-  const std::string& fallback_reason() const { return fallback_reason_; }
-
-  /// Process-wide capability probe: builds (and immediately tears down)
-  /// a tiny ring, exercising both io_uring syscalls. Returns false with
-  /// a human-readable reason (ENOSYS, seccomp EPERM, ...) where
-  /// io_uring cannot be used — the tests' GTEST_SKIP condition.
+  /// Builds (and immediately tears down) a tiny ring, exercising both
+  /// io_uring syscalls. Returns false with a human-readable reason
+  /// (ENOSYS, seccomp EPERM, ...) where io_uring cannot be used.
   static bool ProbeAvailable(std::string* reason);
-
- protected:
-  uint8_t* AcquirePayloadBuffer() override;
-  Status WritePayload(const uint8_t* buf, uint64_t len,
-                      uint64_t offset) override;
-  Status SyncBoth() override;
-
- private:
-  /// One in-flight payload write, keyed by its pool slot (== SQE
-  /// user_data). `offset`/`len` drive the overlap fence and the
-  /// short-write patch.
-  struct Inflight {
-    uint64_t offset = 0;
-    uint64_t len = 0;
-    bool active = false;
-  };
-
-  bool SetupRing(std::string* reason);
-  void DestroyRing();
-  Status SubmitWrite(uint32_t slot, uint64_t len, uint64_t offset);
-  Status SubmitFsync();
-  /// Drains every CQE currently available without blocking; result
-  /// checking + short-write patching happen here.
-  Status ReapCompletions();
-  /// Blocks (io_uring_enter GETEVENTS) for at least one CQE, then
-  /// reaps. The blocked time lands in StoreStats::uring_wait_seconds.
-  Status WaitAndReap();
-  /// Blocks until nothing (writes or fsync) is in flight.
-  Status AwaitInflight();
-  /// Blocks until no in-flight write overlaps [offset, offset + len).
-  Status AwaitRange(uint64_t offset, uint64_t len);
-
-  // Ring state. The mmap'd ring pointers are void* here so the header
-  // stays free of <linux/io_uring.h>; the .cc does the casting.
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  size_t sq_ring_bytes_ = 0;
-  void* cq_ring_ = nullptr;  // aliases sq_ring_ under FEAT_SINGLE_MMAP
-  size_t cq_ring_bytes_ = 0;
-  bool single_mmap_ = false;
-  void* sqes_ = nullptr;
-  size_t sqes_bytes_ = 0;
-  uint32_t* sq_head_ = nullptr;
-  uint32_t* sq_tail_ = nullptr;
-  uint32_t* sq_array_ = nullptr;
-  uint32_t sq_mask_ = 0;
-  uint32_t sq_entries_ = 0;
-  uint32_t* cq_head_ = nullptr;
-  uint32_t* cq_tail_ = nullptr;
-  uint32_t cq_mask_ = 0;
-  void* cqes_ = nullptr;
-  bool fixed_buffers_ = false;  // IORING_REGISTER_BUFFERS accepted
-  bool fixed_file_ = false;     // data_fd_ registered at file index 0
-
-  // Payload-buffer pool: one aligned slab of pool_slots_ slots of
-  // segment_bytes each (clamped so the slab stays modest). A slot is
-  // free, handed out (acquired_slot_), or pinned under an in-flight
-  // write until its CQE is reaped.
-  uint8_t* pool_ = nullptr;
-  uint32_t pool_slots_ = 0;
-  uint64_t slot_bytes_ = 0;
-  std::vector<uint32_t> free_slots_;
-  static constexpr uint32_t kNoSlot = ~0u;
-  uint32_t acquired_slot_ = kNoSlot;
-
-  std::vector<Inflight> inflight_;  // indexed by pool slot
-  uint32_t inflight_count_ = 0;
-  bool fsync_inflight_ = false;
-  /// First CQE-reported I/O failure; once set, every ring operation
-  /// keeps returning it (the store treats backend errors as sticky
-  /// anyway — this just keeps the original cause visible).
-  Status ring_error_;
-  /// A short write was patched with a synchronous pwrite since the last
-  /// durability barrier; the barrier then re-covers it with a plain
-  /// fsync (the ring fsync may have been submitted before the patch).
-  bool patched_since_sync_ = false;
-
-  std::string fallback_reason_;
 };
 
 }  // namespace lss

@@ -14,7 +14,7 @@
 
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/uring_backend.h"
+#include "tests/core/counter_parity.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -114,18 +114,6 @@ TEST(BackendSpecTest, ParsesAllForms) {
   EXPECT_TRUE(c.backend_fsync);
   EXPECT_EQ(BackendSpecName(c), "file-direct:/x");
 
-  ASSERT_TRUE(ApplyBackendSpec("uring:/x/y", &c).ok());
-  EXPECT_EQ(c.backend, BackendKind::kUring);
-  EXPECT_EQ(c.backend_dir, "/x/y");
-  EXPECT_TRUE(c.backend_fsync);
-  EXPECT_FALSE(c.backend_direct_io);
-  EXPECT_EQ(BackendSpecName(c), "uring:/x/y");
-
-  ASSERT_TRUE(ApplyBackendSpec("uring-nosync:/x", &c).ok());
-  EXPECT_EQ(c.backend, BackendKind::kUring);
-  EXPECT_FALSE(c.backend_fsync);
-  EXPECT_EQ(BackendSpecName(c), "uring-nosync:/x");
-
   ASSERT_TRUE(ApplyBackendSpec("null", &c).ok());
   EXPECT_EQ(c.backend, BackendKind::kNull);
   EXPECT_EQ(BackendSpecName(c), "null");
@@ -139,12 +127,22 @@ TEST(BackendSpecTest, RejectsBadSpecs) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(ApplyBackendSpec("io_uring:/x", &c).code(),
             Status::Code::kInvalidArgument);
+  // The deleted ring backend's forms are rejected, and the error lists
+  // only the forms that remain.
+  EXPECT_EQ(ApplyBackendSpec("uring-nosync:/x", &c).code(),
+            Status::Code::kInvalidArgument);
+  const Status s = ApplyBackendSpec("uring:/x/y", &c);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(s.ToString().find(
+                "(want null | file:DIR | file-nosync:DIR | file-direct:DIR)"),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   // The acceptance gate of the refactor: the simulation's counters must
   // not depend on the backend. Run the same churn on both and compare
-  // every counter the paper's figures are built from.
+  // every listed counter but the device group.
   auto run = [](const StoreConfig& cfg) {
     StoreConfig c2 = cfg;
     ApplyVariantConfig(Variant::kMdc, &c2);
@@ -161,15 +159,7 @@ TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   auto file_store = run(FileConfig());
   const StoreStats& a = null_store->shard(0).stats();
   const StoreStats& b = file_store->shard(0).stats();
-  EXPECT_EQ(a.user_updates, b.user_updates);
-  EXPECT_EQ(a.user_pages_written, b.user_pages_written);
-  EXPECT_EQ(a.gc_pages_written, b.gc_pages_written);
-  EXPECT_EQ(a.user_segments_sealed, b.user_segments_sealed);
-  EXPECT_EQ(a.gc_segments_sealed, b.gc_segments_sealed);
-  EXPECT_EQ(a.segments_cleaned, b.segments_cleaned);
-  EXPECT_EQ(a.cleanings, b.cleanings);
-  EXPECT_EQ(a.user_bytes_written, b.user_bytes_written);
-  EXPECT_EQ(a.gc_bytes_written, b.gc_bytes_written);
+  ExpectSameCounters(a, b, DeviceCounters());
   EXPECT_DOUBLE_EQ(a.WriteAmplification(), b.WriteAmplification());
   EXPECT_DOUBLE_EQ(a.MeanCleanEmptiness(), b.MeanCleanEmptiness());
   // Only the device counters differ.
@@ -1112,74 +1102,10 @@ TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
   EXPECT_EQ(handle->seals(), 2);
 }
 
-// ---------------------------------------------------------------------
-// io_uring backend parity. The overlapped write path must be invisible
-// on disk: the same operation sequence through FileBackend and
-// UringBackend yields byte-identical metadata logs (and payload files),
-// so either backend can recover the other's state. Skip-gated on the
-// runtime capability probe — kernels or seccomp policies without
-// io_uring skip with the probe's reason instead of failing.
-// ---------------------------------------------------------------------
-
-// Reads a whole file; empty vector (with a failed assertion) on error.
-std::vector<uint8_t> ReadAllBytes(const std::string& path) {
-  std::vector<uint8_t> out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return out;
-  uint8_t buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
-
-// Two scratch directories — one per backend under comparison.
-class UringParityTest : public IoBackendTest {
- protected:
-  void SetUp() override {
-    IoBackendTest::SetUp();
-    std::string reason;
-    if (!UringBackend::ProbeAvailable(&reason)) {
-      GTEST_SKIP() << "io_uring unavailable: " << reason;
-    }
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(base != nullptr ? base : "/tmp") + "/lss_uring_XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    ASSERT_NE(::mkdtemp(buf.data()), nullptr);
-    uring_dir_ = buf.data();
-  }
-
-  void TearDown() override {
-    if (!uring_dir_.empty()) {
-      for (uint32_t i = 0; i < 64; ++i) {
-        ::unlink(FileBackend::DataPath(uring_dir_, i).c_str());
-        ::unlink(FileBackend::MetaPath(uring_dir_, i).c_str());
-      }
-      ::rmdir(uring_dir_.c_str());
-    }
-    IoBackendTest::TearDown();
-  }
-
-  StoreConfig UringConfig(bool fsync = false) {
-    StoreConfig c = SmallConfig();
-    c.backend = BackendKind::kUring;
-    c.backend_dir = uring_dir_;
-    c.backend_fsync = fsync;
-    return c;
-  }
-
-  std::string uring_dir_;
-};
-
-// The canonical durable-op sequence of the seam: seals (including a
+// Every durable record kind in one raw sequence: seals (including a
 // reseal of the same slot), a full checkpoint, a delta extending it, a
 // reclaim, a delete tombstone and a re-homing record.
-void DriveParitySequence(SegmentBackend* b) {
+void DriveRawSequence(SegmentBackend* b) {
   auto entry = [](PageId page, uint64_t seq, uint64_t offset) {
     Segment::Entry e;
     e.page = page;
@@ -1247,37 +1173,21 @@ void DriveParitySequence(SegmentBackend* b) {
   ASSERT_TRUE(b->Sync().ok());
 }
 
-TEST_F(UringParityTest, RawSequenceYieldsByteIdenticalFiles) {
-  const StoreConfig fcfg = FileConfig(/*fsync=*/true);
-  StoreConfig ucfg = UringConfig(/*fsync=*/true);
+// The raw sequence round-trips through Scan: only the latest state of
+// each slot survives, with its tombstone and re-homing record, and the
+// payload reads back with its page's pattern.
+TEST_F(IoBackendTest, RawSequenceRoundTripsThroughScan) {
+  const StoreConfig cfg = FileConfig(/*fsync=*/true);
   {
-    StoreStats fstats;
-    FileBackend file;
-    ASSERT_TRUE(file.Open(fcfg, 0, 1, &fstats, /*recover=*/false).ok());
-    DriveParitySequence(&file);
-    ASSERT_TRUE(file.Close().ok());
-
-    StoreStats ustats;
-    UringBackend uring;
-    ASSERT_TRUE(uring.Open(ucfg, 0, 1, &ustats, /*recover=*/false).ok());
-    ASSERT_TRUE(uring.ring_active()) << uring.fallback_reason();
-    DriveParitySequence(&uring);
-    // The ring overlaps payload writes but must account them identically.
-    EXPECT_GT(ustats.uring_submitted, 0u);
-    EXPECT_EQ(ustats.device_bytes_written, fstats.device_bytes_written);
-    ASSERT_TRUE(uring.Close().ok());
+    StoreStats stats;
+    FileBackend writer;
+    ASSERT_TRUE(writer.Open(cfg, 0, 1, &stats, /*recover=*/false).ok());
+    DriveRawSequence(&writer);
+    ASSERT_TRUE(writer.Close().ok());
   }
-
-  // Byte-for-byte identical durable state: metadata log and payload file.
-  EXPECT_EQ(ReadAllBytes(FileBackend::MetaPath(dir_, 0)),
-            ReadAllBytes(FileBackend::MetaPath(uring_dir_, 0)));
-  EXPECT_EQ(ReadAllBytes(FileBackend::DataPath(dir_, 0)),
-            ReadAllBytes(FileBackend::DataPath(uring_dir_, 0)));
-
-  // Cross-recovery: a plain FileBackend reads the uring-written log...
   FileBackend reader;
-  StoreStats rstats;
-  ASSERT_TRUE(reader.Open(ucfg, 0, 1, &rstats, /*recover=*/true).ok());
+  StoreStats stats;
+  ASSERT_TRUE(reader.Open(cfg, 0, 1, &stats, /*recover=*/true).ok());
   BackendRecovery out;
   ASSERT_TRUE(reader.Scan(&out).ok());
   // Slot 1 was reclaimed, so only slot 0's (latest) seal survives.
@@ -1287,149 +1197,6 @@ TEST_F(UringParityTest, RawSequenceYieldsByteIdenticalFiles) {
   ASSERT_EQ(out.rehomed.size(), 1u);
   ASSERT_EQ(out.deletes.size(), 1u);
   EXPECT_EQ(out.deletes[0].first, 3u);
-  // ...and the payload the ring wrote reads back with the right pattern.
-  std::vector<uint8_t> data;
-  ASSERT_TRUE(reader.ReadPagePayload(0, 0, 1, 4096, &data).ok());
-  EXPECT_TRUE(VerifyPagePayload(1, 4096, data.data()));
-  ASSERT_TRUE(reader.Close().ok());
-}
-
-TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
-  // Same churn, same seed, different backend: every simulator counter
-  // and every durable byte must match. Runs the full store stack —
-  // seals, GC rewrites, deletes, checkpoints — through the ring.
-  auto churn = [](const StoreConfig& cfg) {
-    StoreConfig c = cfg;
-    c.checkpoint_interval_ops = 64;
-    auto store = ShardedStore::Create(c, 1, FactoryFor(Variant::kGreedy));
-    EXPECT_NE(store, nullptr);
-    Rng rng(19);
-    for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 2500; ++i) {
-      const PageId p = rng.NextBounded(32);
-      if (store->Contains(p) && rng.NextBool(0.05)) {
-        EXPECT_TRUE(store->Delete(p).ok());
-      } else {
-        EXPECT_TRUE(store->Write(p).ok());
-      }
-    }
-    EXPECT_TRUE(store->CheckInvariants().ok());
-    return store;
-  };
-
-  auto file_store = churn(FileConfig(/*fsync=*/true));
-  auto uring_store = churn(UringConfig(/*fsync=*/true));
-  const StoreStats a = file_store->AggregatedStats();
-  const StoreStats b = uring_store->AggregatedStats();
-  EXPECT_EQ(b.uring_available, 1u);
-  EXPECT_GT(b.uring_submitted, 0u);
-  EXPECT_EQ(a.user_updates, b.user_updates);
-  EXPECT_EQ(a.user_segments_sealed, b.user_segments_sealed);
-  EXPECT_EQ(a.gc_segments_sealed, b.gc_segments_sealed);
-  EXPECT_EQ(a.segments_cleaned, b.segments_cleaned);
-  EXPECT_EQ(a.device_bytes_written, b.device_bytes_written);
-  EXPECT_EQ(a.device_write_ops, b.device_write_ops);
-  const size_t file_live = file_store->LivePageCount();
-  std::vector<bool> file_has(32);
-  for (PageId p = 0; p < 32; ++p) file_has[p] = file_store->Contains(p);
-  ASSERT_TRUE(file_store->Close().ok());
-  ASSERT_TRUE(uring_store->Close().ok());
-
-  EXPECT_EQ(ReadAllBytes(FileBackend::MetaPath(dir_, 0)),
-            ReadAllBytes(FileBackend::MetaPath(uring_dir_, 0)));
-  EXPECT_EQ(ReadAllBytes(FileBackend::DataPath(dir_, 0)),
-            ReadAllBytes(FileBackend::DataPath(uring_dir_, 0)));
-
-  // The uring-written store recovers through the uring backend too.
-  Status st;
-  auto reopened = ShardedStore::Open(UringConfig(/*fsync=*/true), 1,
-                                     FactoryFor(Variant::kGreedy), &st);
-  ASSERT_NE(reopened, nullptr) << st.ToString();
-  EXPECT_TRUE(reopened->CheckInvariants().ok());
-  EXPECT_EQ(reopened->LivePageCount(), file_live);
-  for (PageId p = 0; p < 32; ++p) {
-    ASSERT_EQ(reopened->Contains(p), file_has[p]) << p;
-    if (!reopened->Contains(p)) continue;
-    std::vector<uint8_t> data;
-    EXPECT_TRUE(reopened->ReadPage(p, &data).ok()) << p;
-  }
-  ASSERT_TRUE(reopened->Close().ok());
-}
-
-TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
-  // The ring under the seal pipeline: payload writes overlap inside a
-  // group-commit batch, the batch-end Sync reaps them, WaitApplied
-  // (exercised by ReadPage racing queued seals) keeps its durability
-  // meaning.
-  StoreConfig cfg = UringConfig(/*fsync=*/true);
-  cfg.async_seal = true;
-  cfg.seal_queue_depth = 4;
-  cfg.checkpoint_interval_ops = 32;
-  size_t live_before = 0;
-  {
-    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
-    ASSERT_NE(store, nullptr);
-    Rng rng(43);
-    for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(store->Write(rng.NextBounded(32)).ok());
-      if (i % 89 == 0) {
-        const PageId p = rng.NextBounded(32);
-        if (store->Contains(p)) {
-          std::vector<uint8_t> data;
-          const Status s = store->ReadPage(p, &data);
-          EXPECT_TRUE(s.ok() || s.code() == Status::Code::kInvalidArgument)
-              << s.ToString();
-        }
-      }
-    }
-    const StoreStats snap = store->AggregatedStats();
-    EXPECT_EQ(snap.uring_available, 1u);
-    EXPECT_GT(snap.uring_submitted, 0u);
-    EXPECT_GT(snap.group_fsyncs, 0u);
-    live_before = store->LivePageCount();
-    ASSERT_TRUE(store->Close().ok());
-  }
-  Status st;
-  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy), &st);
-  ASSERT_NE(store, nullptr) << st.ToString();
-  EXPECT_TRUE(store->CheckInvariants().ok());
-  EXPECT_EQ(store->LivePageCount(), live_before);
-}
-
-// NOT skip-gated: whichever way the probe goes, the backend must work.
-// With a ring it reports the capability; without one it degrades to the
-// FileBackend write path with a recorded reason — either way the store
-// round-trips. This is the test that pins the fallback contract on
-// kernels where the gated suite above skips.
-TEST_F(IoBackendTest, UringBackendWorksWithOrWithoutRing) {
-  StoreConfig cfg = FileConfig(/*fsync=*/true);
-  cfg.backend = BackendKind::kUring;
-  StoreStats stats;
-  {
-    UringBackend backend;
-    ASSERT_TRUE(backend.Open(cfg, 0, 1, &stats, /*recover=*/false).ok());
-    std::string reason;
-    const bool probed = UringBackend::ProbeAvailable(&reason);
-    EXPECT_EQ(backend.ring_active(), probed) << reason;
-    if (backend.ring_active()) {
-      EXPECT_EQ(stats.uring_available, 1u);
-      EXPECT_TRUE(backend.fallback_reason().empty());
-    } else {
-      EXPECT_EQ(stats.uring_available, 0u);
-      EXPECT_FALSE(backend.fallback_reason().empty());
-    }
-    DriveParitySequence(&backend);
-    ASSERT_TRUE(backend.Close().ok());
-  }
-  UringBackend reader;
-  StoreStats rstats;
-  ASSERT_TRUE(reader.Open(cfg, 0, 1, &rstats, /*recover=*/true).ok());
-  BackendRecovery out;
-  ASSERT_TRUE(reader.Scan(&out).ok());
-  ASSERT_EQ(out.segments.size(), 1u);
-  ASSERT_EQ(out.rehomed.size(), 1u);
-  ASSERT_EQ(out.deletes.size(), 1u);
   std::vector<uint8_t> data;
   ASSERT_TRUE(reader.ReadPagePayload(0, 0, 1, 4096, &data).ok());
   EXPECT_TRUE(VerifyPagePayload(1, 4096, data.data()));
