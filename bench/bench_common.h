@@ -98,7 +98,7 @@ inline StoreConfig DefaultConfig() {
   cfg.clean_batch_segments = 16;
   cfg.write_buffer_segments = 16;
   // LSS_BENCH_BACKEND=<spec> runs any bench over a real segment backend
-  // ("file:DIR", "file-nosync:DIR", "file-direct:DIR"; see
+  // ("file:DIR", "file-nosync:DIR"; see
   // ApplyBackendSpec). The default stays bookkeeping-only.
   if (const char* spec = std::getenv("LSS_BENCH_BACKEND")) {
     Status s = ApplyBackendSpec(spec, &cfg);

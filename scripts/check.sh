@@ -5,7 +5,9 @@
 # CI should be green.
 #
 # Usage: scripts/check.sh [--tsan|--asan|--torture] [build-dir]
-#   default:  full build + full test suite in ./build
+#   default:  full build + full test suite in ./build, then the
+#             benchmark's driver and tests (perfbench/) in
+#             ./build/perfbench, then the bench smokes
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
 #             ThreadSanitizer — the data-race gate for ShardedStore and
@@ -27,7 +29,7 @@
 #   --asan:   rebuild with -fsanitize=address,undefined in ./build-asan
 #             (or the given build dir) and run the FULL test suite — the
 #             memory-safety gate for the raw-I/O backend (pwrite buffers,
-#             recovery scans, O_DIRECT alignment) and everything else.
+#             recovery scans) and everything else.
 #   --torture: normal build, then the crash-recovery torture harness
 #             (tests/integration/crash_recovery_test.cc) with extra
 #             randomized kill points per geometry (LSS_TORTURE_ITERS,
@@ -121,6 +123,16 @@ fi
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# The benchmark (perfbench/) compiles its own copy of src/, so a src/
+# change that breaks it would otherwise surface only when the benchmark
+# runs. Build its driver and tests in a subdirectory of the build tree
+# and run the tests there (they write their scratch files to the cwd).
+cmake -B "$BUILD_DIR/perfbench" -S perfbench
+cmake --build "$BUILD_DIR/perfbench" -j "$JOBS" \
+  --target perfbench_driver perfbench_test
+(cd "$BUILD_DIR/perfbench" && ./perfbench_test)
+echo "check.sh: perfbench build + tests green"
 
 # Small-scale parallel TPC-C smoke: 2-worker trace generation, replay
 # through RunTrace over 2 shards, machine-readable output — the

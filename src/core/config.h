@@ -70,17 +70,14 @@ struct StoreConfig {
   /// fsync data + metadata after each segment seal (kFile only). Off
   /// trades durability for speed, like a drive write cache.
   bool backend_fsync = true;
-  /// Open the payload file with O_DIRECT, bypassing the page cache so
-  /// device-byte measurements reflect media traffic (kFile only;
-  /// requires segment_bytes to be a multiple of 4 KiB).
-  bool backend_direct_io = false;
-  /// Run segment seals asynchronously: the shard hands sealed-in-memory
-  /// segments (and reclaims, deletes, checkpoints) to a per-shard I/O
-  /// thread through a bounded queue, so device latency leaves the write
-  /// path; fsyncs are group-committed (one fsync covers every operation
-  /// queued since the last). Off keeps the PR 3 synchronous behaviour
-  /// bit-for-bit (pinned by the determinism tests). Placement decisions
-  /// are identical either way — only when I/O happens changes.
+  /// Run segment seals asynchronously: the shard's SealPipeline applies
+  /// sealed-in-memory segments (and reclaims, deletes, checkpoints) on a
+  /// per-shard I/O thread fed by a bounded queue, so device latency
+  /// leaves the write path; fsyncs are group-committed (one fsync covers
+  /// every operation queued since the last). Off, the pipeline applies
+  /// each op inline on the writer's thread with a per-op fsync. The
+  /// backend sees the same calls in the same order either way (pinned by
+  /// the determinism tests) — only when I/O happens changes.
   bool async_seal = false;
   /// Capacity of the per-shard seal queue in operations (async_seal
   /// only). Writers block (backpressure, counted in
@@ -99,10 +96,8 @@ struct StoreConfig {
   /// only the payload appended since the durable watermark, recorded as
   /// a kMetaCheckpointDelta chained to the previous record by ordinal.
   /// Falls back to a full checkpoint whenever the slot generation
-  /// changed (reseal/reuse/rehome) or no prior checkpoint exists, and is
-  /// ignored under backend_direct_io (a suffix write is not guaranteed
-  /// to be O_DIRECT-aligned). Off re-records the whole payload every
-  /// round, the pre-delta behaviour.
+  /// changed (reseal/reuse/rehome) or no prior checkpoint exists. Off
+  /// re-records the whole payload every round, the pre-delta behaviour.
   bool checkpoint_delta = true;
 
   /// Total physical page frames of `page_bytes` size.
@@ -148,14 +143,6 @@ struct StoreConfig {
     }
     if (backend == BackendKind::kFile && backend_dir.empty()) {
       return Status::InvalidArgument("file backend requires backend_dir");
-    }
-    if (backend != BackendKind::kFile && backend_direct_io) {
-      return Status::InvalidArgument(
-          "backend_direct_io requires the file backend");
-    }
-    if (backend_direct_io && segment_bytes % 4096 != 0) {
-      return Status::InvalidArgument(
-          "backend_direct_io requires 4 KiB-aligned segments");
     }
     if (async_seal && seal_queue_depth < 1) {
       return Status::InvalidArgument(

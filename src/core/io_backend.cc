@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #ifndef _WIN32
@@ -84,9 +83,6 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord&) {
   return Status::InvalidArgument("file backend not open");
 }
 Status FileBackend::RehomeEntries(const BackendSegmentRecord&) {
-  return Status::InvalidArgument("file backend not open");
-}
-Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord&, bool) {
   return Status::InvalidArgument("file backend not open");
 }
 Status FileBackend::Sync() {
@@ -210,19 +206,14 @@ struct EntryRec {
 static_assert(sizeof(EntryRec) == 48, "EntryRec must pack to 48 bytes");
 
 // Body of a kMetaCheckpointDelta record: the SealBody fields plus the
-// chain linkage. `entry_count` counts only the suffix entries serialised
-// after the body (EntryRec array, exactly as in a seal record);
-// `prefix_entries` is how many entries of the assembled chain survive
-// below this delta — replay truncates to that count, then appends the
-// suffix. The whole record is covered by the standard header FNV.
+// chain linkage. `head.entry_count` counts only the suffix entries
+// serialised after the body (EntryRec array, exactly as in a seal
+// record); `prefix_entries` is how many entries of the assembled chain
+// survive below this delta — replay truncates to that count, then
+// appends the suffix. The whole record is covered by the standard
+// header FNV.
 struct DeltaBody {
-  uint32_t segment_id;
-  uint32_t log;
-  uint64_t source;
-  uint64_t open_time;
-  uint64_t seal_time;
-  uint64_t unow;
-  uint64_t entry_count;
+  SealBody head;
   uint64_t generation;      // slot fill generation the chain belongs to
   uint64_t base_ordinal;    // replay ordinal of the previous chain record
   uint64_t prefix_entries;  // chain entries retained below this delta
@@ -268,6 +259,139 @@ std::vector<uint8_t> BuildRecord(uint16_t type, const void* body,
   std::memcpy(rec.data(), &hdr, sizeof(hdr));
   std::memcpy(rec.data() + sizeof(hdr), body, body_len);
   return rec;
+}
+
+// The SealBody fields of `r`; a DeltaBody starts with the same bytes.
+SealBody SealHead(const BackendSegmentRecord& r) {
+  SealBody b{};
+  b.segment_id = r.id;
+  b.log = r.log;
+  b.source = static_cast<uint64_t>(r.source);
+  b.open_time = r.open_time;
+  b.seal_time = r.seal_time;
+  b.unow = r.unow;
+  b.entry_count = r.entries.size();
+  return b;
+}
+
+// Serialises `entries` as the EntryRec array of a slot record.
+void EncodeEntries(const std::vector<Segment::Entry>& entries, uint8_t* out) {
+  for (const Segment::Entry& e : entries) {
+    EntryRec er{};
+    er.page = e.page;
+    er.bytes = e.bytes;
+    er.seq = e.seq;
+    er.last_update = e.last_update;
+    er.up2 = e.up2;
+    er.exact_upf = e.exact_upf;
+    std::memcpy(out, &er, sizeof(er));
+    out += sizeof(er);
+  }
+}
+
+// Decodes the body of a slot record — seal layout (seal, checkpoint,
+// re-home) or delta — into *rec. False when the body is malformed:
+// replay stops there, exactly as at a torn record.
+bool DecodeSlotRecord(uint16_t type, const uint8_t* body, uint64_t body_len,
+                      const StoreConfig& config, BackendSegmentRecord* rec) {
+  const bool delta = type == kMetaCheckpointDelta;
+  const uint64_t head_len = delta ? sizeof(DeltaBody) : sizeof(SealBody);
+  if (body_len < head_len) return false;
+  DeltaBody head{};
+  std::memcpy(&head, body, head_len);
+  const SealBody& sb = head.head;
+  // Overflow-safe: a corrupt entry_count must not wrap the product.
+  if (sb.entry_count > (body_len - head_len) / sizeof(EntryRec)) return false;
+  if (body_len != head_len + sb.entry_count * sizeof(EntryRec)) return false;
+  if (sb.segment_id >= config.num_segments) return false;
+  if (delta && (head.suffix_offset > config.segment_bytes ||
+                head.suffix_length >
+                    config.segment_bytes - head.suffix_offset)) {
+    return false;
+  }
+  rec->id = sb.segment_id;
+  rec->log = sb.log;
+  rec->source = static_cast<SegmentSource>(sb.source);
+  rec->open_time = sb.open_time;
+  rec->seal_time = sb.seal_time;
+  rec->unow = sb.unow;
+  rec->checkpoint = type == kMetaCheckpoint || delta;
+  rec->delta = delta;
+  if (delta) {
+    rec->generation = head.generation;
+    rec->base_ordinal = head.base_ordinal;
+    rec->prefix_entries = head.prefix_entries;
+    rec->suffix_offset = head.suffix_offset;
+    rec->suffix_length = head.suffix_length;
+  }
+  rec->entries.resize(sb.entry_count);
+  uint64_t entry_bytes = 0;
+  const uint8_t* p = body + head_len;
+  for (Segment::Entry& e : rec->entries) {
+    EntryRec er;
+    std::memcpy(&er, p, sizeof(er));
+    p += sizeof(er);
+    e.page = er.page;
+    e.bytes = er.bytes;
+    e.seq = er.seq;
+    e.last_update = er.last_update;
+    e.up2 = er.up2;
+    e.exact_upf = er.exact_upf;
+    entry_bytes += e.bytes;
+  }
+  // A delta's entries must fill exactly the payload range it rewrote.
+  return !delta || entry_bytes == head.suffix_length;
+}
+
+// The payload a slot record writes: the whole slot for a seal or full
+// checkpoint (*offset 0), the range [suffix_offset, suffix_offset +
+// suffix_length) for a delta (*offset = suffix_offset), whose entries
+// must tile it exactly. Live entries carry the deterministic pattern;
+// entries that died in place keep their ORIGINAL pattern (orig_page) so
+// every rewrite of a slot produces byte-identical content for regions
+// an earlier durable record (a checkpoint of the same segment) may
+// still reference — a torn rewrite then only garbles the new suffix,
+// whose only referencing record dies with the crash. Only entries whose
+// original page is unknown (recovery-reconstructed dead entries, never
+// rewritten) and the unused tail are zero-filled. FileBackend writes
+// exactly these bytes; FaultInjectionBackend tears a prefix of them.
+Status BuildSlotPayload(const BackendSegmentRecord& record, bool delta,
+                        uint32_t segment_bytes, std::vector<uint8_t>* out,
+                        uint64_t* offset) {
+  uint64_t base = 0;
+  uint64_t len = segment_bytes;
+  if (delta) {
+    if (record.suffix_offset > segment_bytes ||
+        record.suffix_length > segment_bytes - record.suffix_offset) {
+      return Status::InvalidArgument("delta checkpoint: suffix out of range");
+    }
+    base = record.suffix_offset;
+    len = record.suffix_length;
+  }
+  const Status untiled =
+      Status::Corruption("delta checkpoint: entries do not tile suffix");
+  out->resize(len);
+  uint64_t cursor = base;
+  for (const Segment::Entry& e : record.entries) {
+    if (delta && e.offset != cursor) return untiled;
+    if (cursor + e.bytes > base + len) {
+      return delta ? untiled
+                   : Status::Corruption("seal: entries overflow segment "
+                                        "capacity");
+    }
+    uint8_t* dst = out->data() + (cursor - base);
+    const PageId payload_page = e.page != kInvalidPage ? e.page : e.orig_page;
+    if (payload_page != kInvalidPage) {
+      FillPagePayload(payload_page, e.bytes, dst);
+    } else {
+      std::memset(dst, 0, e.bytes);
+    }
+    cursor += e.bytes;
+  }
+  if (delta && cursor != base + len) return untiled;
+  std::memset(out->data() + (cursor - base), 0, base + len - cursor);
+  *offset = base;
+  return Status::OK();
 }
 
 // ENOSPC is the device's out-of-space, the same condition the simulator
@@ -357,31 +481,8 @@ Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
     flags |= O_CREAT | O_TRUNC;
   }
 
-  direct_io_ = config.backend_direct_io;
-  int data_flags = flags;
-#ifdef O_DIRECT
-  if (direct_io_) data_flags |= O_DIRECT;
-#endif
-  data_fd_ = ::open(data_path.c_str(), data_flags, 0644);
-  if (data_fd_ < 0 && direct_io_ && (errno == EINVAL || errno == EOPNOTSUPP)) {
-    // Filesystem refuses O_DIRECT (e.g. tmpfs): fall back to buffered.
-    direct_io_ = false;
-    data_fd_ = ::open(data_path.c_str(), flags, 0644);
-  }
+  data_fd_ = ::open(data_path.c_str(), flags, 0644);
   if (data_fd_ < 0) return ErrnoStatus("open data file", errno);
-#ifndef O_DIRECT
-  direct_io_ = false;
-#endif
-
-  if (direct_io_) {
-    // Page reads are sub-segment and unaligned; give them a buffered fd.
-    read_fd_ = ::open(data_path.c_str(), O_RDONLY);
-    if (read_fd_ < 0) {
-      const Status s = ErrnoStatus("open data file for reads", errno);
-      Close();
-      return s;
-    }
-  }
 
   meta_fd_ = ::open(meta_path.c_str(), flags, 0644);
   if (meta_fd_ < 0) {
@@ -409,14 +510,6 @@ Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
     }
     meta_offset_ = static_cast<uint64_t>(st.st_size);
   }
-
-  // One whole-segment write buffer, page-aligned for O_DIRECT.
-  void* buf = nullptr;
-  if (::posix_memalign(&buf, 4096, config.segment_bytes) != 0) {
-    Close();
-    return Status::Corruption("posix_memalign failed");
-  }
-  payload_buf_ = static_cast<uint8_t*>(buf);
 
   // Writer-side replay numbering and checkpoint-chain state. On recover
   // the following Scan() re-derives next_ordinal_ from the surviving
@@ -544,8 +637,19 @@ Status FileBackend::DrainReclaims(bool punching_allowed) {
   return Status::OK();
 }
 
+// Makes everything appended so far durable — including the stage-1
+// free records — after which their stage-2 punches are safe.
+Status FileBackend::MakeDurable() {
+  Status s = SyncBoth();
+  if (!s.ok()) return s;
+  for (PendingReclaim& pr : pending_reclaims_) {
+    if (pr.record_appended) pr.record_durable = true;
+  }
+  return DrainReclaims(/*punching_allowed=*/true);
+}
+
 Status FileBackend::SealSegment(const BackendSegmentRecord& record) {
-  return WriteSegmentRecord(record, /*checkpoint=*/false);
+  return WriteSlotRecord(kMetaSeal, record);
 }
 
 // A checkpoint is a seal record for a segment that is still open: the
@@ -555,7 +659,7 @@ Status FileBackend::SealSegment(const BackendSegmentRecord& record) {
 // the appends since — the partial-segment persistence that closes the
 // reseal-while-GC-open crash window (see StoreShard::reclaim_queue_).
 Status FileBackend::Checkpoint(const BackendSegmentRecord& record) {
-  return WriteSegmentRecord(record, /*checkpoint=*/true);
+  return WriteSlotRecord(kMetaCheckpoint, record);
 }
 
 // A delta checkpoint rewrites only the payload suffix appended since the
@@ -568,107 +672,7 @@ Status FileBackend::Checkpoint(const BackendSegmentRecord& record) {
 // range may be rewritten) is byte-identical — dead entries keep their
 // orig_page pattern, exactly as in a full rewrite.
 Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
-  if (data_fd_ < 0) return Status::InvalidArgument("backend not open");
-  if (record.id >= config_.num_segments) {
-    return Status::InvalidArgument("delta checkpoint: segment id out of range");
-  }
-  if (record.suffix_offset > config_.segment_bytes ||
-      record.suffix_length > config_.segment_bytes - record.suffix_offset) {
-    return Status::InvalidArgument("delta checkpoint: suffix out of range");
-  }
-  // Same pre-write ordering as a full rewrite: drop any pending punch of
-  // this slot and put queued free records on the log first (a queued
-  // free record for this very slot also closes its chain, so the guard
-  // below must run after the drain).
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.id == record.id) pr.punch = false;
-  }
-  Status s = DrainReclaims(/*punching_allowed=*/false);
-  if (!s.ok()) return s;
-
-  if (chain_tip_ordinal_[record.id] < 0 ||
-      chain_generation_[record.id] != record.generation) {
-    // The shard must fall back to a full checkpoint whenever the slot
-    // generation changed or no prior checkpoint exists; reaching here is
-    // a caller bug, not a device state we can write through.
-    return Status::InvalidArgument(
-        "delta checkpoint without a matching chain base");
-  }
-
-  // Suffix payload, built at buffer offset (entry.offset - suffix_offset).
-  // Entries must tile the declared range exactly — a mismatch means the
-  // caller's watermark bookkeeping is broken.
-  uint8_t* buf = payload_buf_;
-  uint64_t cursor = record.suffix_offset;
-  for (const Segment::Entry& e : record.entries) {
-    if (e.offset != cursor ||
-        cursor + e.bytes > record.suffix_offset + record.suffix_length) {
-      return Status::Corruption("delta checkpoint: entries do not tile suffix");
-    }
-    const PageId payload_page = e.page != kInvalidPage ? e.page : e.orig_page;
-    if (payload_page != kInvalidPage) {
-      FillPagePayload(payload_page, e.bytes,
-                      buf + (cursor - record.suffix_offset));
-    } else {
-      std::memset(buf + (cursor - record.suffix_offset), 0, e.bytes);
-    }
-    cursor += e.bytes;
-  }
-  if (cursor != record.suffix_offset + record.suffix_length) {
-    return Status::Corruption("delta checkpoint: entries do not tile suffix");
-  }
-
-  if (record.suffix_length > 0) {
-    s = WritePayload(buf, record.suffix_length,
-                     static_cast<uint64_t>(record.id) * config_.segment_bytes +
-                         record.suffix_offset);
-    if (!s.ok()) return s;
-  }
-
-  std::vector<uint8_t> meta_body(sizeof(DeltaBody) +
-                                 record.entries.size() * sizeof(EntryRec));
-  DeltaBody body{};
-  body.segment_id = record.id;
-  body.log = record.log;
-  body.source = static_cast<uint64_t>(record.source);
-  body.open_time = record.open_time;
-  body.seal_time = record.seal_time;
-  body.unow = record.unow;
-  body.entry_count = record.entries.size();
-  body.generation = record.generation;
-  body.base_ordinal =
-      static_cast<uint64_t>(chain_tip_ordinal_[record.id]);
-  body.prefix_entries = record.prefix_entries;
-  body.suffix_offset = record.suffix_offset;
-  body.suffix_length = record.suffix_length;
-  std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
-  }
-  const std::vector<uint8_t> rec =
-      BuildRecord(kMetaCheckpointDelta, meta_body.data(), meta_body.size());
-  s = AppendMeta(rec.data(), rec.size());
-  if (!s.ok()) return s;
-  chain_tip_ordinal_[record.id] = static_cast<int64_t>(next_ordinal_ - 1);
-  if (stats_ != nullptr) {
-    stats_->checkpoint_bytes_written += record.suffix_length + rec.size();
-  }
-  if (deferred_sync_) return Status::OK();
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return WriteSlotRecord(kMetaCheckpointDelta, record);
 }
 
 // A re-homing record carries the still-needed entries of a withheld
@@ -679,153 +683,93 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
 // rewrite of the slot may tear the victim's payload while a batch-end
 // Sync never arrives, and replay would otherwise still resolve the
 // victim's pages to its stale (now torn) seal record. Hence the forced
-// SyncBoth here — which also makes every earlier append (the records
-// superseding the entries NOT re-homed, and the stage-1 free records)
-// durable, completing the re-homing invariant in one barrier. With
-// backend_fsync off no crash promises exist and SyncBoth is a no-op.
+// durability step in WriteSlotRecord — which also makes every earlier
+// append (the records superseding the entries NOT re-homed, and the
+// stage-1 free records) durable, completing the re-homing invariant in
+// one barrier. With backend_fsync off no crash promises exist and the
+// fsync is a no-op.
 Status FileBackend::RehomeEntries(const BackendSegmentRecord& record) {
-  if (meta_fd_ < 0) return Status::InvalidArgument("backend not open");
-  if (record.id >= config_.num_segments) {
-    return Status::InvalidArgument("rehome: segment id out of range");
-  }
-  // Stage-1 drain: queued free records (including, typically, the
-  // victim's own) land before the re-homing record, matching emission
-  // order = log order.
-  Status s = DrainReclaims(/*punching_allowed=*/false);
-  if (!s.ok()) return s;
-
-  std::vector<uint8_t> meta_body(sizeof(SealBody) +
-                                 record.entries.size() * sizeof(EntryRec));
-  SealBody body{};
-  body.segment_id = record.id;
-  body.log = record.log;
-  body.source = static_cast<uint64_t>(record.source);
-  body.open_time = record.open_time;
-  body.seal_time = record.seal_time;
-  body.unow = record.unow;
-  body.entry_count = record.entries.size();
-  std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
-  }
-  const std::vector<uint8_t> rec =
-      BuildRecord(kMetaRehome, meta_body.data(), meta_body.size());
-  s = AppendMeta(rec.data(), rec.size());
-  if (!s.ok()) return s;
-  // Durability barrier, deliberately ignoring deferred_sync_.
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return WriteSlotRecord(kMetaRehome, record);
 }
 
-Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
-                                       bool checkpoint) {
+Status FileBackend::WriteSlotRecord(uint16_t type,
+                                    const BackendSegmentRecord& record) {
   if (data_fd_ < 0) return Status::InvalidArgument("backend not open");
   if (record.id >= config_.num_segments) {
-    return Status::InvalidArgument("seal: segment id out of range");
+    return Status::InvalidArgument("slot record: segment id out of range");
   }
-
-  // A punch pending against the slot we are about to rewrite would
-  // destroy the new payload; the overwrite supersedes it.
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.id == record.id) pr.punch = false;
+  const bool delta = type == kMetaCheckpointDelta;
+  const bool rehome = type == kMetaRehome;
+  uint64_t payload_offset = 0;
+  payload_buf_.clear();
+  if (!rehome) {
+    Status s = BuildSlotPayload(record, delta, config_.segment_bytes,
+                                &payload_buf_, &payload_offset);
+    if (!s.ok()) return s;
+    // A punch pending against the slot we are about to rewrite would
+    // destroy the new payload; the overwrite supersedes it.
+    for (PendingReclaim& pr : pending_reclaims_) {
+      if (pr.id == record.id) pr.punch = false;
+    }
   }
-  // Stage-1 drain: free records land before this seal record.
+  // Stage-1 drain: queued free records land before this record, matching
+  // emission order = log order (a queued free record for this very slot
+  // also closes its chain, so the delta guard below runs after it).
   Status s = DrainReclaims(/*punching_allowed=*/false);
   if (!s.ok()) return s;
-
-  // Payload: live entries carry the deterministic pattern; entries that
-  // died in place keep their ORIGINAL pattern (orig_page) so every
-  // rewrite of this slot produces byte-identical content for regions an
-  // earlier durable record (a checkpoint of the same segment) may still
-  // reference — a torn rewrite then only garbles the new suffix, whose
-  // only referencing record dies with the crash. Only entries whose
-  // original page is unknown (recovery-reconstructed dead entries, never
-  // rewritten) and the unused tail are zero-filled.
-  uint8_t* buf = payload_buf_;
-  uint64_t cursor = 0;
-  for (const Segment::Entry& e : record.entries) {
-    if (cursor + e.bytes > config_.segment_bytes) {
-      return Status::Corruption("seal: entries overflow segment capacity");
-    }
-    const PageId payload_page = e.page != kInvalidPage ? e.page : e.orig_page;
-    if (payload_page != kInvalidPage) {
-      FillPagePayload(payload_page, e.bytes, buf + cursor);
-    } else {
-      std::memset(buf + cursor, 0, e.bytes);
-    }
-    cursor += e.bytes;
+  if (delta && (chain_tip_ordinal_[record.id] < 0 ||
+                chain_generation_[record.id] != record.generation)) {
+    // The shard must fall back to a full checkpoint whenever the slot
+    // generation changed or no prior checkpoint exists; reaching here is
+    // a caller bug, not a device state we can write through.
+    return Status::InvalidArgument(
+        "delta checkpoint without a matching chain base");
   }
-  std::memset(buf + cursor, 0, config_.segment_bytes - cursor);
 
-  s = WritePayload(buf, config_.segment_bytes,
-                   static_cast<uint64_t>(record.id) * config_.segment_bytes);
-  if (!s.ok()) return s;
-
-  // Metadata record: body + entry array, checksummed as one record.
-  std::vector<uint8_t> meta_body(sizeof(SealBody) +
-                                 record.entries.size() * sizeof(EntryRec));
-  SealBody body{};
-  body.segment_id = record.id;
-  body.log = record.log;
-  body.source = static_cast<uint64_t>(record.source);
-  body.open_time = record.open_time;
-  body.seal_time = record.seal_time;
-  body.unow = record.unow;
-  body.entry_count = record.entries.size();
-  std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
+  if (!payload_buf_.empty()) {
+    s = WritePayload(payload_buf_.data(), payload_buf_.size(),
+                     static_cast<uint64_t>(record.id) * config_.segment_bytes +
+                         payload_offset);
+    if (!s.ok()) return s;
   }
-  const std::vector<uint8_t> rec = BuildRecord(
-      checkpoint ? kMetaCheckpoint : kMetaSeal, meta_body.data(),
-      meta_body.size());
+
+  // Metadata record: SealBody (a delta: DeltaBody, which starts with
+  // it) + entry array, checksummed as one record.
+  const size_t head_len = delta ? sizeof(DeltaBody) : sizeof(SealBody);
+  std::vector<uint8_t> body(head_len +
+                            record.entries.size() * sizeof(EntryRec));
+  DeltaBody head{};
+  head.head = SealHead(record);
+  if (delta) {
+    head.generation = record.generation;
+    head.base_ordinal = static_cast<uint64_t>(chain_tip_ordinal_[record.id]);
+    head.prefix_entries = record.prefix_entries;
+    head.suffix_offset = record.suffix_offset;
+    head.suffix_length = record.suffix_length;
+  }
+  std::memcpy(body.data(), &head, head_len);
+  EncodeEntries(record.entries, body.data() + head_len);
+  const std::vector<uint8_t> rec = BuildRecord(type, body.data(), body.size());
   s = AppendMeta(rec.data(), rec.size());
   if (!s.ok()) return s;
-  if (checkpoint) {
-    // This record is now the slot's chain tip: deltas may chain onto it
-    // as long as the shard stays in the same fill generation.
+
+  if (type == kMetaSeal) {
+    // A real seal supersedes the chain; the slot re-records in full next.
+    chain_tip_ordinal_[record.id] = -1;
+  } else if (!rehome) {
+    // This checkpoint is now the slot's chain tip: deltas may chain onto
+    // it as long as the shard stays in the same fill generation.
     chain_tip_ordinal_[record.id] = static_cast<int64_t>(next_ordinal_ - 1);
     chain_generation_[record.id] = record.generation;
     if (stats_ != nullptr) {
-      stats_->checkpoint_bytes_written += config_.segment_bytes + rec.size();
+      stats_->checkpoint_bytes_written += payload_buf_.size() + rec.size();
     }
-  } else {
-    // A real seal supersedes the chain; the slot re-records in full next.
-    chain_tip_ordinal_[record.id] = -1;
   }
   // Group-commit mode: durability (and the punches that require it)
-  // arrives with the pipeline's next explicit Sync().
-  if (deferred_sync_) return Status::OK();
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  // Everything appended so far — including the stage-1 free records —
-  // is now durable; stage-2 punches are safe.
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  // arrives with the pipeline's next explicit Sync() — except for a
+  // re-homing record, which must be durable before the slot's reuse.
+  if (deferred_sync_ && !rehome) return Status::OK();
+  return MakeDurable();
 }
 
 Status FileBackend::Sync() {
@@ -836,12 +780,7 @@ Status FileBackend::Sync() {
   // the fsync that this group commit promises covers them.
   Status s = DrainReclaims(/*punching_allowed=*/false);
   if (!s.ok()) return s;
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return MakeDurable();
 }
 
 Status FileBackend::ReclaimSegment(SegmentId id, UpdateCount unow) {
@@ -884,18 +823,13 @@ Status FileBackend::RecordDelete(PageId page, uint64_t seq, UpdateCount unow) {
 
 Status FileBackend::ReadPagePayload(SegmentId id, uint64_t offset, PageId page,
                                     uint32_t bytes, std::vector<uint8_t>* out) {
-  if (read_fd_ < 0 && data_fd_ < 0) {
-    return Status::InvalidArgument("backend not open");
-  }
+  if (data_fd_ < 0) return Status::InvalidArgument("backend not open");
   if (id >= config_.num_segments ||
       offset + bytes > config_.segment_bytes) {
     return Status::InvalidArgument("read: location out of range");
   }
-  // Reads go through the buffered fd: page reads are sub-segment and
-  // unaligned, which O_DIRECT rejects.
-  const int fd = read_fd_ >= 0 ? read_fd_ : data_fd_;
   out->resize(bytes);
-  Status s = PreadAll(fd, out->data(), bytes,
+  Status s = PreadAll(data_fd_, out->data(), bytes,
                       static_cast<uint64_t>(id) * config_.segment_bytes +
                           offset);
   if (!s.ok()) return s;
@@ -982,40 +916,16 @@ Status FileBackend::Scan(BackendRecovery* out) {
     // header whose body tail never reached the device.
     if (hdr.checksum != RecordChecksum(hdr.type, body, hdr.body_len)) break;
     if (hdr.type == kMetaSeal || hdr.type == kMetaCheckpoint ||
-        hdr.type == kMetaRehome) {
-      if (hdr.body_len < sizeof(SealBody)) break;
-      SealBody sb;
-      std::memcpy(&sb, body, sizeof(sb));
-      if (sb.entry_count > (hdr.body_len - sizeof(SealBody)) / sizeof(EntryRec))
-        break;
-      if (hdr.body_len != sizeof(SealBody) + sb.entry_count * sizeof(EntryRec))
-        break;
-      if (sb.segment_id >= config_.num_segments) break;
+        hdr.type == kMetaRehome || hdr.type == kMetaCheckpointDelta) {
       BackendSegmentRecord rec;
-      rec.id = sb.segment_id;
-      rec.log = sb.log;
-      rec.source = static_cast<SegmentSource>(sb.source);
-      rec.open_time = sb.open_time;
-      rec.seal_time = sb.seal_time;
-      rec.unow = sb.unow;
-      rec.checkpoint = hdr.type == kMetaCheckpoint;
-      rec.ordinal = ordinal;
-      rec.entries.reserve(sb.entry_count);
-      const uint8_t* ep = body + sizeof(sb);
-      for (uint64_t i = 0; i < sb.entry_count; ++i) {
-        EntryRec er;
-        std::memcpy(&er, ep + i * sizeof(er), sizeof(er));
-        Segment::Entry e;
-        e.page = er.page;
-        e.bytes = er.bytes;
-        e.seq = er.seq;
-        e.last_update = er.last_update;
-        e.up2 = er.up2;
-        e.exact_upf = er.exact_upf;
-        out->max_seq = std::max(out->max_seq, e.seq);
-        rec.entries.push_back(e);
+      if (!DecodeSlotRecord(hdr.type, body, hdr.body_len, config_, &rec)) {
+        break;
       }
-      out->unow = std::max(out->unow, sb.unow);
+      rec.ordinal = ordinal;
+      for (const Segment::Entry& e : rec.entries) {
+        out->max_seq = std::max(out->max_seq, e.seq);
+      }
+      out->unow = std::max(out->unow, rec.unow);
       if (hdr.type == kMetaRehome) {
         // Every re-homing record is kept, in replay order: records for
         // the same slot name different victim incarnations, and a free
@@ -1023,61 +933,15 @@ Status FileBackend::Scan(BackendRecovery* out) {
         // record lands alongside its re-homing record by design).
         // Recovery resolves the entries per page, newest-wins.
         out->rehomed.push_back(std::move(rec));
+      } else if (rec.delta) {
+        // Deltas are NOT last-record-per-slot resolved: recovery walks
+        // the chain from the surviving base record, and a delta orphaned
+        // by a later seal/free/full-checkpoint never matches any tip.
+        out->deltas.push_back(std::move(rec));
       } else {
-        latest_seal[sb.segment_id] = static_cast<int64_t>(seals.size());
+        latest_seal[rec.id] = static_cast<int64_t>(seals.size());
         seals.push_back(std::move(rec));
       }
-    } else if (hdr.type == kMetaCheckpointDelta) {
-      if (hdr.body_len < sizeof(DeltaBody)) break;
-      DeltaBody db;
-      std::memcpy(&db, body, sizeof(db));
-      if (db.entry_count > (hdr.body_len - sizeof(DeltaBody)) / sizeof(EntryRec))
-        break;
-      if (hdr.body_len != sizeof(DeltaBody) + db.entry_count * sizeof(EntryRec))
-        break;
-      if (db.segment_id >= config_.num_segments) break;
-      if (db.suffix_offset > config_.segment_bytes ||
-          db.suffix_length > config_.segment_bytes - db.suffix_offset) {
-        break;
-      }
-      BackendSegmentRecord rec;
-      rec.id = db.segment_id;
-      rec.log = db.log;
-      rec.source = static_cast<SegmentSource>(db.source);
-      rec.open_time = db.open_time;
-      rec.seal_time = db.seal_time;
-      rec.unow = db.unow;
-      rec.checkpoint = true;
-      rec.delta = true;
-      rec.ordinal = ordinal;
-      rec.generation = db.generation;
-      rec.base_ordinal = db.base_ordinal;
-      rec.prefix_entries = db.prefix_entries;
-      rec.suffix_offset = db.suffix_offset;
-      rec.suffix_length = db.suffix_length;
-      rec.entries.reserve(db.entry_count);
-      const uint8_t* ep = body + sizeof(db);
-      uint64_t suffix_bytes = 0;
-      for (uint64_t i = 0; i < db.entry_count; ++i) {
-        EntryRec er;
-        std::memcpy(&er, ep + i * sizeof(er), sizeof(er));
-        Segment::Entry e;
-        e.page = er.page;
-        e.bytes = er.bytes;
-        e.seq = er.seq;
-        e.last_update = er.last_update;
-        e.up2 = er.up2;
-        e.exact_upf = er.exact_upf;
-        out->max_seq = std::max(out->max_seq, e.seq);
-        suffix_bytes += e.bytes;
-        rec.entries.push_back(e);
-      }
-      if (suffix_bytes != db.suffix_length) break;
-      out->unow = std::max(out->unow, db.unow);
-      // Deltas are NOT last-record-per-slot resolved: recovery walks the
-      // chain from the surviving base record, and a delta orphaned by a
-      // later seal/free/full-checkpoint never matches any chain tip.
-      out->deltas.push_back(std::move(rec));
     } else if (hdr.type == kMetaFree) {
       if (hdr.body_len != sizeof(FreeBody)) break;
       FreeBody fb;
@@ -1128,14 +992,7 @@ Status FileBackend::Close() {
   Status result = Status::OK();
   if (data_fd_ >= 0 && meta_fd_ >= 0) {
     // Flush queued reclaims: records first, sync, then punches.
-    result = DrainReclaims(/*punching_allowed=*/false);
-    if (result.ok()) result = SyncBoth();
-    if (result.ok()) {
-      for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-      result = DrainReclaims(/*punching_allowed=*/true);
-    }
+    result = Sync();
   } else if (data_fd_ >= 0 || meta_fd_ >= 0) {
     result = SyncBoth();
   }
@@ -1155,16 +1012,11 @@ void FileBackend::ReleaseFds() {
     ::close(data_fd_);
     data_fd_ = -1;
   }
-  if (read_fd_ >= 0) {
-    ::close(read_fd_);
-    read_fd_ = -1;
-  }
   if (meta_fd_ >= 0) {
     ::close(meta_fd_);
     meta_fd_ = -1;
   }
-  std::free(payload_buf_);
-  payload_buf_ = nullptr;
+  payload_buf_ = std::vector<uint8_t>();
 }
 
 #endif  // POSIX
@@ -1246,8 +1098,8 @@ void FaultInjectionBackend::TearAndDie(const BackendSegmentRecord* record) {
   // A seal or checkpoint that died mid-payload leaves its slot partially
   // overwritten. A real torn pwrite leaves every byte at either its old
   // or its NEW value — so the tear must write a prefix of the payload
-  // the crashing op would actually have produced (same reconstruction as
-  // FileBackend::WriteSegmentRecord), not arbitrary junk: regions an
+  // the crashing op would actually have produced (BuildSlotPayload, the
+  // bytes FileBackend writes), not arbitrary junk: regions an
   // earlier durable record of this slot references are byte-identical in
   // the rewrite (Segment::Entry::orig_page keeps dead entries stable),
   // so only bytes no surviving metadata record describes can change.
@@ -1256,33 +1108,21 @@ void FaultInjectionBackend::TearAndDie(const BackendSegmentRecord* record) {
   // never touches the bytes below it — those belong to earlier durable
   // records of the chain and real hardware was not writing them.
   if (record != nullptr && (style == 3 || rng.NextBounded(2) == 0)) {
+    std::vector<uint8_t> payload;
+    uint64_t offset = 0;
     int dfd = ::open(data_path.c_str(), O_WRONLY);
-    if (dfd >= 0) {
-      const uint64_t range_base = record->delta ? record->suffix_offset : 0;
-      const uint64_t range_len =
-          record->delta ? record->suffix_length : config_.segment_bytes;
-      std::vector<uint8_t> payload(static_cast<size_t>(range_len), 0);
-      uint64_t cursor = range_base;
-      for (const Segment::Entry& e : record->entries) {
-        const uint64_t at = record->delta ? e.offset : cursor;
-        if (at < range_base || at + e.bytes > range_base + range_len) break;
-        const PageId payload_page =
-            e.page != kInvalidPage ? e.page : e.orig_page;
-        if (payload_page != kInvalidPage) {
-          FillPagePayload(payload_page, e.bytes,
-                          payload.data() + (at - range_base));
-        }
-        cursor = at + e.bytes;
-      }
-      const size_t len = static_cast<size_t>(rng.NextBounded(range_len + 1));
+    if (dfd >= 0 && BuildSlotPayload(*record, record->delta,
+                                     config_.segment_bytes, &payload, &offset)
+                        .ok()) {
+      const size_t len = static_cast<size_t>(rng.NextBounded(payload.size() + 1));
       if (len > 0) {
         (void)!::pwrite(dfd, payload.data(), len,
                         static_cast<off_t>(static_cast<uint64_t>(record->id) *
                                                config_.segment_bytes +
-                                           range_base));
+                                           offset));
       }
-      ::close(dfd);
     }
+    if (dfd >= 0) ::close(dfd);
   }
 #else
   (void)record;

@@ -270,12 +270,13 @@ class NullBackend : public SegmentBackend {
 ///                    and delete, appended in operation order and
 ///                    replayed by Scan (last record per segment wins).
 ///
-/// fsync runs after each seal (and on Close) unless
-/// StoreConfig::backend_fsync is off; payload writes use O_DIRECT when
-/// backend_direct_io is set (requires 4 KiB-aligned segments; silently
-/// falls back where the platform lacks O_DIRECT). Reclaim punches a hole
-/// in the payload slot where fallocate supports it, returning the space
-/// to the filesystem while keeping offsets stable.
+/// Seals, checkpoints (full and delta) and re-homing records all go
+/// through one slot-record writer: the payload range (none for a
+/// re-homing record), then one checksummed metadata record. fsync runs
+/// after each record (and on Close) unless StoreConfig::backend_fsync
+/// is off or the seal pipeline defers it to a group Sync(). Reclaim
+/// punches a hole in the payload slot where fallocate supports it,
+/// returning the space to the filesystem while keeping offsets stable.
 ///
 /// Device counters (bytes written, write/fsync counts and seconds,
 /// bytes punched) accumulate into the shard's StoreStats.
@@ -322,10 +323,15 @@ class FileBackend : public SegmentBackend {
   /// StoreConfig::backend_fsync is off).
   Status SyncBoth();
 
-  // Shared payload-write + metadata-append path of SealSegment and
-  // Checkpoint (they differ only in record type and durability rules).
-  Status WriteSegmentRecord(const BackendSegmentRecord& record,
-                            bool checkpoint);
+  /// The durability step: SyncBoth, then every appended free record is
+  /// durable and its slot may be punched.
+  Status MakeDurable();
+
+  // The one writer behind SealSegment, Checkpoint, CheckpointDelta and
+  // RehomeEntries (`type` is the metadata record type): payload range,
+  // then SealBody/DeltaBody + entry array, then chain bookkeeping and
+  // the durability step.
+  Status WriteSlotRecord(uint16_t type, const BackendSegmentRecord& record);
   void ReleaseFds();
 
   // A reclaimed segment moves through three stages before its payload is
@@ -351,11 +357,7 @@ class FileBackend : public SegmentBackend {
   uint32_t num_shards_ = 1;
   std::vector<PendingReclaim> pending_reclaims_;
   int data_fd_ = -1;
-  /// Buffered fd for sub-segment page reads (O_DIRECT rejects unaligned
-  /// preads); -1 when data_fd_ itself is buffered.
-  int read_fd_ = -1;
   int meta_fd_ = -1;
-  bool direct_io_ = false;
   /// Group-commit mode (SetDeferredSync): per-op fsyncs are skipped and
   /// Sync() supplies durability + releases deferred punches.
   bool deferred_sync_ = false;
@@ -371,8 +373,8 @@ class FileBackend : public SegmentBackend {
   /// tip and refuses to append without one.
   std::vector<int64_t> chain_tip_ordinal_;
   std::vector<uint64_t> chain_generation_;
-  /// Reused pwrite buffer for a whole segment (aligned when direct_io_).
-  uint8_t* payload_buf_ = nullptr;
+  /// Reused payload buffer of the slot-record writer.
+  std::vector<uint8_t> payload_buf_;
 };
 
 /// Test double: forwards every hook to a base backend (NullBackend by

@@ -61,7 +61,6 @@ void ApplyVariantConfig(Variant v, StoreConfig* config);
 ///   "null"               bookkeeping only (the default)
 ///   "file:DIR"           per-shard segment files under DIR, fsync on seal
 ///   "file-nosync:DIR"    same without fsync (page-cache speed)
-///   "file-direct:DIR"    same with O_DIRECT payload writes
 /// Benches take this via LSS_BENCH_BACKEND; quickstart shows direct use.
 Status ApplyBackendSpec(const std::string& spec, StoreConfig* config);
 

@@ -5,15 +5,18 @@
 
 namespace lss {
 
-SealPipeline::SealPipeline(SegmentBackend* backend, uint32_t queue_depth,
-                           bool count_fsyncs)
+SealPipeline::SealPipeline(SegmentBackend* backend, const StoreConfig& config,
+                           StoreStats* shard_stats)
     : backend_(backend),
-      queue_depth_(queue_depth < 1 ? 1 : queue_depth),
-      count_fsyncs_(count_fsyncs) {}
+      async_(config.async_seal),
+      queue_depth_(config.seal_queue_depth < 1 ? 1 : config.seal_queue_depth),
+      count_fsyncs_(config.backend_fsync),
+      shard_stats_(shard_stats) {}
 
 SealPipeline::~SealPipeline() { Shutdown(); }
 
 void SealPipeline::Start() {
+  if (!async_) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) return;
   {
@@ -21,7 +24,7 @@ void SealPipeline::Start() {
     // counters) — a snapshot taken before the
     // first batch must not read as "no backend activity".
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    published_stats_ = backend_stats_;
+    published_stats_ = io_stats_;
   }
   backend_->SetDeferredSync(true);
   started_ = true;
@@ -29,28 +32,68 @@ void SealPipeline::Start() {
   thread_ = std::thread([this] { ThreadMain(); });
 }
 
-uint64_t SealPipeline::Enqueue(Op op, bool* stalled) {
+Status SealPipeline::Apply(const Op& op) {
+  StoreStats* stats = backend_stats();
+  switch (op.kind) {
+    case Op::Kind::kSeal:
+      return backend_->SealSegment(op.record);
+    case Op::Kind::kCheckpoint:
+    case Op::Kind::kCheckpointDelta: {
+      const bool delta = op.kind == Op::Kind::kCheckpointDelta;
+      Status s = delta ? backend_->CheckpointDelta(op.record)
+                       : backend_->Checkpoint(op.record);
+      if (s.ok()) {
+        ++stats->checkpoints_written;
+        ++(delta ? stats->checkpoint_delta_records
+                 : stats->checkpoint_full_records);
+      }
+      return s;
+    }
+    case Op::Kind::kReclaim:
+      return backend_->ReclaimSegment(op.segment, op.unow);
+    case Op::Kind::kDelete:
+      return backend_->RecordDelete(op.page, op.seq, op.unow);
+    case Op::Kind::kRehome:
+      // The backend syncs internally: the record is durable before the
+      // next op (the reused slot's seal) runs, even mid-batch.
+      return backend_->RehomeEntries(op.record);
+  }
+  return Status::OK();
+}
+
+Status SealPipeline::Submit(Op op, uint64_t* ticket) {
+  uint64_t unused;
+  if (ticket == nullptr) ticket = &unused;
+  *ticket = 0;
+  if (!async_) return Apply(op);
   std::unique_lock<std::mutex> lock(mu_);
-  if (!started_ || stop_ || !error_.ok()) return 0;
-  if (queue_.size() >= queue_depth_) {
-    if (stalled != nullptr) *stalled = true;
-    done_cv_.wait(lock, [this] {
-      return queue_.size() < queue_depth_ || stop_ || !error_.ok();
+  auto rejected = [this] { return !started_ || stop_ || !error_.ok(); };
+  const bool stalled = !rejected() && queue_.size() >= queue_depth_;
+  if (stalled) {
+    done_cv_.wait(lock, [&] {
+      return queue_.size() < queue_depth_ || rejected();
     });
-    if (stop_ || !error_.ok()) return 0;
+  }
+  if (rejected()) {
+    return error_.ok() ? Status::InvalidArgument("seal pipeline is stopped")
+                       : error_;
   }
   queue_.push_back(std::move(op));
-  const uint64_t ticket = ++enqueued_;
+  *ticket = ++enqueued_;
   work_cv_.notify_one();
-  return ticket;
+  ++shard_stats_->seal_queue_enqueued;
+  if (stalled) ++shard_stats_->seal_queue_stalls;
+  return Status::OK();
 }
 
 uint64_t SealPipeline::applied_ticket() const {
+  if (!async_) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   return applied_;
 }
 
-Status SealPipeline::WaitApplied(uint64_t ticket) {
+Status SealPipeline::WaitApplied(uint64_t ticket) const {
+  if (ticket == 0) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this, ticket] {
     return applied_ >= ticket || !error_.ok();
@@ -65,6 +108,10 @@ Status SealPipeline::Drain() {
     return applied_ >= target || !error_.ok();
   });
   return error_;
+}
+
+Status SealPipeline::Barrier() {
+  return async_ ? Drain() : backend_->Sync();
 }
 
 Status SealPipeline::Shutdown() {
@@ -82,6 +129,7 @@ Status SealPipeline::Shutdown() {
 }
 
 Status SealPipeline::error() const {
+  if (!async_) return Status::OK();
   std::lock_guard<std::mutex> lock(mu_);
   return error_;
 }
@@ -94,8 +142,8 @@ StoreStats SealPipeline::StatsSnapshot() const {
 Status SealPipeline::ResetStats() {
   Status s = Drain();
   // The I/O thread is idle (or dead) now and only touches its stats
-  // while applying ops, which only this owner thread can enqueue.
-  backend_stats_.ResetMeasurement();
+  // while applying ops, which only this owner thread can submit.
+  io_stats_.ResetMeasurement();
   std::lock_guard<std::mutex> lock(stats_mu_);
   published_stats_.ResetMeasurement();
   return s;
@@ -122,36 +170,7 @@ void SealPipeline::ThreadMain() {
       // Apply in queue order — the order carries the crash-ordering
       // invariants, so a failure must stop the batch, not skip over.
       for (const Op& op : batch) {
-        switch (op.kind) {
-          case Op::Kind::kSeal:
-            s = backend_->SealSegment(op.record);
-            break;
-          case Op::Kind::kCheckpoint:
-            s = backend_->Checkpoint(op.record);
-            if (s.ok()) {
-              ++backend_stats_.checkpoints_written;
-              ++backend_stats_.checkpoint_full_records;
-            }
-            break;
-          case Op::Kind::kCheckpointDelta:
-            s = backend_->CheckpointDelta(op.record);
-            if (s.ok()) {
-              ++backend_stats_.checkpoints_written;
-              ++backend_stats_.checkpoint_delta_records;
-            }
-            break;
-          case Op::Kind::kReclaim:
-            s = backend_->ReclaimSegment(op.segment, op.unow);
-            break;
-          case Op::Kind::kDelete:
-            s = backend_->RecordDelete(op.page, op.seq, op.unow);
-            break;
-          case Op::Kind::kRehome:
-            // The backend syncs internally: the record is durable before
-            // the next op in the batch (the reused slot's seal) runs.
-            s = backend_->RehomeEntries(op.record);
-            break;
-        }
+        s = Apply(op);
         if (!s.ok()) break;
       }
       // Group commit: one sync covers the whole batch (and releases the
@@ -159,15 +178,15 @@ void SealPipeline::ThreadMain() {
       if (s.ok()) {
         s = backend_->Sync();
         if (s.ok() && count_fsyncs_) {
-          ++backend_stats_.group_fsyncs;
-          backend_stats_.group_fsync_ops += batch.size();
+          ++io_stats_.group_fsyncs;
+          io_stats_.group_fsync_ops += batch.size();
         }
       }
     }
 
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      published_stats_ = backend_stats_;
+      published_stats_ = io_stats_;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -210,6 +210,17 @@ StoreStats ShardedStore::AggregatedStats() const {
   return total;
 }
 
+Status ShardedStore::DrainSealQueues() {
+  Status result = Status::OK();
+  for (auto& s : shards_) {
+    LockedShard locked(*s);
+    Status st = locked->DrainSealQueue();
+    NoteFailure(*s, st);
+    if (!st.ok() && result.ok()) result = std::move(st);
+  }
+  return result;
+}
+
 void ShardedStore::ResetMeasurement() {
   for (auto& s : shards_) {
     LockedShard locked(*s);

@@ -179,6 +179,11 @@ class ShardedStore {
   /// Counters merged across shards (locks each shard briefly).
   StoreStats AggregatedStats() const;
 
+  /// Waits until every shard's seal queue is applied and synced
+  /// (StoreShard::DrainSealQueue); emits no record. First error wins,
+  /// but every shard is attempted.
+  Status DrainSealQueues();
+
   /// Zeroes every shard's counters (paper §6.2 warm-up protocol).
   void ResetMeasurement();
 

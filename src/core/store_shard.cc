@@ -16,6 +16,7 @@ StoreShard::StoreShard(const StoreConfig& config,
       policy_(std::move(policy)),
       backend_(backend ? std::move(backend)
                        : std::make_unique<NullBackend>()),
+      pipeline_(backend_.get(), config_, &stats_),
       table_(*table),
       buffer_(static_cast<uint64_t>(config.write_buffer_segments) *
               config.segment_bytes),
@@ -33,11 +34,7 @@ StoreShard::StoreShard(const StoreConfig& config,
   }
   slot_generation_.assign(config_.num_segments, 0);
   ckpt_chain_.assign(config_.num_segments, CheckpointChain{});
-  if (config_.async_seal) {
-    pipeline_ = std::make_unique<SealPipeline>(
-        backend_.get(), config_.seal_queue_depth, config_.backend_fsync);
-    seal_ticket_.assign(config_.num_segments, 0);
-  }
+  seal_ticket_.assign(config_.num_segments, 0);
 }
 
 StoreShard::~StoreShard() {
@@ -46,12 +43,12 @@ StoreShard::~StoreShard() {
 
 Status StoreShard::OpenBackend(bool recover) {
   // In async mode the backend's device counters are updated by the I/O
-  // thread, so they must land in pipeline-owned storage, not in stats_.
-  StoreStats* sink = pipeline_ ? pipeline_->backend_stats() : &stats_;
-  Status s = backend_->Open(config_, shard_id_, num_shards_, sink, recover);
+  // thread, so they land in pipeline-owned storage, not in stats_.
+  Status s = backend_->Open(config_, shard_id_, num_shards_,
+                            pipeline_.backend_stats(), recover);
   // Start after Open: Scan (during a recovering open) still runs on the
   // caller's thread, safely — the queue is empty until the first write.
-  if (s.ok() && pipeline_) pipeline_->Start();
+  if (s.ok()) pipeline_.Start();
   return s;
 }
 
@@ -84,10 +81,8 @@ Status StoreShard::Close() {
   // Drain and join the I/O thread: every queued seal must reach the
   // device before the backend closes, so no acknowledged write is lost
   // when Close races in-flight seals.
-  if (pipeline_) {
-    s = pipeline_->Shutdown();
-    if (!s.ok() && result.ok()) result = s;
-  }
+  s = pipeline_.Shutdown();
+  if (!s.ok() && result.ok()) result = s;
   s = backend_->Close();
   if (!s.ok() && result.ok()) result = s;
   return result;
@@ -248,11 +243,11 @@ Status StoreShard::Checkpoint() {
   // Snapshot every non-empty open segment.
   if (s.ok()) s = CheckpointOpenSegments();
   ops_since_checkpoint_ = 0;
-  // The barrier: wait out the queue (async) and make it all durable.
-  if (s.ok()) s = pipeline_ ? pipeline_->Drain() : backend_->Sync();
-  // Everything emitted is durable now; pending watermarks can commit so
-  // the next round's deltas base on what this barrier persisted.
-  if (s.ok() && pipeline_ != nullptr) CommitDurableWatermarks();
+  // The barrier: make everything emitted durable.
+  if (s.ok()) s = pipeline_.Barrier();
+  // Pending watermarks can commit now, so the next round's deltas base
+  // on what this barrier persisted.
+  if (s.ok()) CommitDurableWatermarks();
   if (!s.ok()) sticky_error_ = s;
   return s;
 }
@@ -271,13 +266,8 @@ Status StoreShard::ReadPage(PageId page, std::vector<uint8_t>* out) const {
   // I/O thread has written the payload before reading it back. The
   // pipeline thread never takes the shard lock, so waiting under it is
   // deadlock-free.
-  if (pipeline_ != nullptr) {
-    const uint64_t ticket = seal_ticket_[m.loc.segment];
-    if (ticket != 0) {
-      Status s = pipeline_->WaitApplied(ticket);
-      if (!s.ok()) return s;
-    }
-  }
+  Status s = pipeline_.WaitApplied(seal_ticket_[m.loc.segment]);
+  if (!s.ok()) return s;
   return backend_->ReadPagePayload(m.loc.segment,
                                    seg.entries()[m.loc.index].offset, page,
                                    m.bytes, out);
@@ -439,7 +429,8 @@ Segment* StoreShard::OpenSegmentFor(uint32_t log, uint32_t stream, bool is_gc,
 
 BackendSegmentRecord StoreShard::MakeSealRecord(SegmentId id,
                                                 const Segment& seg,
-                                                bool checkpoint) const {
+                                                bool checkpoint,
+                                                bool delta) const {
   BackendSegmentRecord rec;
   rec.id = id;
   rec.log = seg.log();
@@ -452,7 +443,21 @@ BackendSegmentRecord StoreShard::MakeSealRecord(SegmentId id,
   rec.unow = unow_;
   rec.checkpoint = checkpoint;
   rec.generation = slot_generation_[id];
-  rec.entries = seg.entries();
+  if (delta) {
+    // Only the suffix past the durable watermark travels; the base chain
+    // already covers the prefix byte-for-byte (in-place kills never
+    // change recorded content — see the resurrection rule below).
+    assert(seg.checkpoint_entries() <= seg.entries().size() &&
+           seg.checkpoint_bytes() <= seg.used_bytes());
+    rec.delta = true;
+    rec.prefix_entries = seg.checkpoint_entries();
+    rec.suffix_offset = seg.checkpoint_bytes();
+    rec.suffix_length = seg.used_bytes() - seg.checkpoint_bytes();
+    rec.entries.assign(seg.entries().begin() + seg.checkpoint_entries(),
+                       seg.entries().end());
+  } else {
+    rec.entries = seg.entries();
+  }
   // In-place-killed entries are recorded *live* under their original
   // identity: their successor always carries a larger append sequence,
   // so replay's newest-wins picks the successor whenever its record
@@ -470,55 +475,42 @@ BackendSegmentRecord StoreShard::MakeSealRecord(SegmentId id,
   return rec;
 }
 
-Status StoreShard::EnqueueOp(SealPipeline::Op op, uint64_t* ticket_out) {
-  bool stalled = false;
-  const uint64_t ticket = pipeline_->Enqueue(std::move(op), &stalled);
-  if (ticket == 0) {
-    const Status e = pipeline_->error();
-    return e.ok() ? Status::InvalidArgument("seal pipeline is stopped") : e;
-  }
-  ++stats_.seal_queue_enqueued;
-  if (stalled) ++stats_.seal_queue_stalls;
-  if (ticket_out != nullptr) *ticket_out = ticket;
-  return Status::OK();
-}
-
 Status StoreShard::EmitSeal(SegmentId id, const Segment& seg) {
   ++ops_since_checkpoint_;
-  if (pipeline_ == nullptr) {
-    return backend_->SealSegment(MakeSealRecord(id, seg));
-  }
   SealPipeline::Op op;
   op.kind = SealPipeline::Op::Kind::kSeal;
   op.record = MakeSealRecord(id, seg);
-  return EnqueueOp(std::move(op), &seal_ticket_[id]);
+  uint64_t ticket = 0;
+  Status s = pipeline_.Submit(std::move(op), &ticket);
+  if (s.ok()) seal_ticket_[id] = ticket;
+  return s;
 }
 
-Status StoreShard::EmitCheckpoint(SegmentId id, const Segment& seg) {
+Status StoreShard::EmitOpenSegmentCheckpoint(SegmentId id,
+                                             const Segment& seg) {
   const uint64_t gen = slot_generation_[id];
   const uint64_t entries = seg.entries().size();
   const uint64_t bytes = seg.used_bytes();
-  if (pipeline_ == nullptr) {
-    Status s = backend_->Checkpoint(MakeSealRecord(id, seg,
-                                                   /*checkpoint=*/true));
-    if (!s.ok()) return s;
-    ++stats_.checkpoints_written;
-    ++stats_.checkpoint_full_records;
-    // Synchronous backends make the record durable before returning, so
-    // the watermark commits at emission.
-    segments_[id].SetCheckpointWatermark(static_cast<uint32_t>(entries),
-                                         bytes);
-    ckpt_chain_[id] = CheckpointChain{true, gen, entries, bytes};
-    return s;
+  const CheckpointChain& chain = ckpt_chain_[id];
+  // A delta needs a chain of this fill generation to extend; without
+  // one (or with deltas off) the slot re-records in full.
+  const bool delta =
+      config_.checkpoint_delta && chain.valid && chain.generation == gen;
+  if (delta && chain.emitted_entries == entries &&
+      chain.emitted_bytes == bytes) {
+    // The emitted chain already covers every entry (in-place kills since
+    // then re-record identically, so there is nothing new to persist).
+    return Status::OK();
   }
   SealPipeline::Op op;
-  op.kind = SealPipeline::Op::Kind::kCheckpoint;
-  op.record = MakeSealRecord(id, seg, /*checkpoint=*/true);
+  op.kind = delta ? SealPipeline::Op::Kind::kCheckpointDelta
+                  : SealPipeline::Op::Kind::kCheckpoint;
+  op.record = MakeSealRecord(id, seg, /*checkpoint=*/true, delta);
   uint64_t ticket = 0;
-  Status s = EnqueueOp(std::move(op), &ticket);
+  Status s = pipeline_.Submit(std::move(op), &ticket);
   if (!s.ok()) return s;
-  // The chain tracks *emitted* coverage (queue order = log order); the
-  // durable watermark waits for the pipeline's group sync.
+  // The chain tracks *emitted* coverage (submission order = log order);
+  // the durable watermark waits until the op is applied and synced.
   ckpt_chain_[id] = CheckpointChain{true, gen, entries, bytes};
   pending_watermarks_.push_back(
       PendingWatermark{id, gen, static_cast<uint32_t>(entries), bytes,
@@ -526,86 +518,13 @@ Status StoreShard::EmitCheckpoint(SegmentId id, const Segment& seg) {
   return s;
 }
 
-Status StoreShard::EmitCheckpointDelta(SegmentId id, const Segment& seg) {
-  const uint64_t gen = slot_generation_[id];
-  const uint32_t wm_entries = seg.checkpoint_entries();
-  const uint64_t wm_bytes = seg.checkpoint_bytes();
-  const uint64_t entries = seg.entries().size();
-  const uint64_t bytes = seg.used_bytes();
-  assert(wm_entries <= entries && wm_bytes <= bytes);
-
-  BackendSegmentRecord rec;
-  rec.id = id;
-  rec.log = seg.log();
-  rec.source = seg.source();
-  rec.open_time = seg.open_time();
-  rec.seal_time = unow_;  // as EmitCheckpoint: snapshot-time clock
-  rec.unow = unow_;
-  rec.checkpoint = true;
-  rec.delta = true;
-  rec.generation = gen;
-  rec.prefix_entries = wm_entries;
-  rec.suffix_offset = wm_bytes;
-  rec.suffix_length = bytes - wm_bytes;
-  // Only the suffix past the durable watermark travels; the base chain
-  // already covers the prefix byte-for-byte (in-place kills never change
-  // recorded content — see the resurrection rule in MakeSealRecord,
-  // applied to the suffix here too).
-  rec.entries.assign(seg.entries().begin() + wm_entries, seg.entries().end());
-  for (Segment::Entry& e : rec.entries) {
-    if (e.page == kInvalidPage && !e.doa && e.orig_page != kInvalidPage) {
-      e.page = e.orig_page;
-    }
-  }
-  if (pipeline_ == nullptr) {
-    Status s = backend_->CheckpointDelta(rec);
-    if (!s.ok()) return s;
-    ++stats_.checkpoints_written;
-    ++stats_.checkpoint_delta_records;
-    segments_[id].SetCheckpointWatermark(static_cast<uint32_t>(entries),
-                                         bytes);
-    ckpt_chain_[id].emitted_entries = entries;
-    ckpt_chain_[id].emitted_bytes = bytes;
-    return s;
-  }
-  SealPipeline::Op op;
-  op.kind = SealPipeline::Op::Kind::kCheckpointDelta;
-  op.record = std::move(rec);
-  uint64_t ticket = 0;
-  Status s = EnqueueOp(std::move(op), &ticket);
-  if (!s.ok()) return s;
-  ckpt_chain_[id].emitted_entries = entries;
-  ckpt_chain_[id].emitted_bytes = bytes;
-  pending_watermarks_.push_back(
-      PendingWatermark{id, gen, static_cast<uint32_t>(entries), bytes,
-                       ticket});
-  return s;
-}
-
-Status StoreShard::EmitOpenSegmentCheckpoint(SegmentId id,
-                                             const Segment& seg) {
-  if (!DeltaCheckpointsEnabled()) return EmitCheckpoint(id, seg);
-  const CheckpointChain& chain = ckpt_chain_[id];
-  if (!chain.valid || chain.generation != slot_generation_[id]) {
-    // No base, or the slot was refilled since: start the chain over.
-    return EmitCheckpoint(id, seg);
-  }
-  if (chain.emitted_entries == seg.entries().size() &&
-      chain.emitted_bytes == seg.used_bytes()) {
-    // The emitted chain already covers every entry (in-place kills since
-    // then re-record identically, so there is nothing new to persist).
-    return Status::OK();
-  }
-  return EmitCheckpointDelta(id, seg);
-}
-
 void StoreShard::CommitDurableWatermarks() {
-  if (pending_watermarks_.empty() || pipeline_ == nullptr) return;
-  if (!pipeline_->error().ok()) {
+  if (pending_watermarks_.empty()) return;
+  if (!pipeline_.error().ok()) {
     pending_watermarks_.clear();
     return;
   }
-  const uint64_t applied = pipeline_->applied_ticket();
+  const uint64_t applied = pipeline_.applied_ticket();
   size_t kept = 0;
   for (size_t i = 0; i < pending_watermarks_.size(); ++i) {
     const PendingWatermark& pw = pending_watermarks_[i];
@@ -633,23 +552,21 @@ Status StoreShard::EmitReclaim(SegmentId id, UpdateCount unow) {
   // slot carries is dead in the log the moment this record lands, so the
   // next checkpoint of the slot must start over with a full record.
   InvalidateCheckpointChain(id);
-  if (pipeline_ == nullptr) return backend_->ReclaimSegment(id, unow);
   SealPipeline::Op op;
   op.kind = SealPipeline::Op::Kind::kReclaim;
   op.segment = id;
   op.unow = unow;
-  return EnqueueOp(std::move(op));
+  return pipeline_.Submit(std::move(op));
 }
 
 Status StoreShard::EmitDelete(PageId page, uint64_t seq, UpdateCount unow) {
   ++ops_since_checkpoint_;
-  if (pipeline_ == nullptr) return backend_->RecordDelete(page, seq, unow);
   SealPipeline::Op op;
   op.kind = SealPipeline::Op::Kind::kDelete;
   op.page = page;
   op.seq = seq;
   op.unow = unow;
-  return EnqueueOp(std::move(op));
+  return pipeline_.Submit(std::move(op));
 }
 
 Status StoreShard::CheckpointGcDirtyOpen(SegmentId skip) {
@@ -700,20 +617,22 @@ Status StoreShard::MaybePeriodicCheckpoint() {
 }
 
 void StoreShard::AbsorbPipelineError() {
-  if (pipeline_ == nullptr || !sticky_error_.ok()) return;
-  Status s = pipeline_->error();
+  if (!sticky_error_.ok()) return;
+  Status s = pipeline_.error();
   if (!s.ok()) sticky_error_ = s;
 }
 
 StoreStats StoreShard::StatsSnapshot() const {
   StoreStats s = stats_;
-  if (pipeline_ != nullptr) s.Merge(pipeline_->StatsSnapshot());
+  s.Merge(pipeline_.StatsSnapshot());
   return s;
 }
 
+Status StoreShard::DrainSealQueue() { return pipeline_.Drain(); }
+
 void StoreShard::ResetMeasurement() {
   // Drain first so no in-flight op's counters straddle the reset.
-  if (pipeline_ != nullptr) pipeline_->ResetStats();
+  pipeline_.ResetStats();
   stats_.ResetMeasurement();
 }
 
@@ -983,18 +902,17 @@ Status StoreShard::EmitRehome(SegmentId victim,
   rec.seal_time = unow_;
   rec.unow = unow_;
   rec.entries = std::move(entries);
-  if (pipeline_ == nullptr) return backend_->RehomeEntries(rec);
   SealPipeline::Op op;
   op.kind = SealPipeline::Op::Kind::kRehome;
   op.record = std::move(rec);
   uint64_t ticket = 0;
-  Status s = EnqueueOp(std::move(op), &ticket);
+  Status s = pipeline_.Submit(std::move(op), &ticket);
   if (!s.ok()) return s;
   // Queue order already puts the rehome ahead of the reused slot's
   // future seal, and the backend syncs the record internally; waiting
-  // here only surfaces a backend failure now, before the shard commits
-  // to the reuse.
-  return pipeline_->WaitApplied(ticket);
+  // here only surfaces an async backend failure now, before the shard
+  // commits to the reuse.
+  return pipeline_.WaitApplied(ticket);
 }
 
 Status StoreShard::ReleaseSafeReclaims() {

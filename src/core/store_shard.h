@@ -45,11 +45,12 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 /// All calls on one shard must be serialised by the caller (ShardedStore
 /// wraps every shard in its own SpinLock). The cleaning policy instance is
 /// owned by the shard, so policy state (e.g. multi-log's band maps) is
-/// confined to the shard and needs no locking of its own. With
-/// StoreConfig::async_seal the shard additionally owns a SealPipeline —
-/// one I/O thread that applies seal/reclaim/delete/checkpoint backend
-/// ops in emission order off the write path; that thread never touches
-/// shard state, so the contract above is unchanged.
+/// confined to the shard and needs no locking of its own. Every backend
+/// write the shard emits goes through its SealPipeline as one op: with
+/// StoreConfig::async_seal off the pipeline applies it inline; on, one
+/// I/O thread applies the ops in emission order off the write path.
+/// That thread never touches shard state, so the contract above is
+/// unchanged.
 ///
 /// The write path implements the paper's MDC machinery (§5): an optional
 /// user write buffer whose contents are sorted by estimated update
@@ -133,15 +134,21 @@ class StoreShard {
   // --- Introspection (used by policies, benches and tests) -----------
 
   const StoreConfig& config() const { return config_; }
-  /// Shard-side counters only; in async mode the device_* and
-  /// group-fsync counters live with the I/O thread — use StatsSnapshot()
-  /// for the complete picture.
+  /// Shard-side counters. In sync mode these are all of them; in async
+  /// mode the device_*, checkpoint and group-fsync counters live with
+  /// the I/O thread — use StatsSnapshot() for the complete picture.
   const StoreStats& stats() const { return stats_; }
   StoreStats& mutable_stats() { return stats_; }
 
   /// Shard counters merged with the seal pipeline's I/O-side counters
   /// (equal to stats() in synchronous mode).
   StoreStats StatsSnapshot() const;
+
+  /// Waits until every backend op emitted so far is applied and synced
+  /// (async mode; a no-op in sync mode). Emits nothing itself, so the
+  /// counters a following StatsSnapshot() reads no longer depend on how
+  /// far the I/O thread had got.
+  Status DrainSealQueue();
 
   /// Zeroes all counters, shard- and I/O-side. In async mode this drains
   /// the pipeline first so no in-flight op straddles the reset.
@@ -260,45 +267,32 @@ class StoreShard {
   // Builds the backend's durable record for a segment this shard is
   // sealing (snapshots the entry list with current liveness). With
   // `checkpoint` the segment is still open and the record marks a
-  // replayable prefix.
+  // replayable prefix; with `delta` too, it carries only the suffix past
+  // the slot's durable watermark.
   BackendSegmentRecord MakeSealRecord(SegmentId id, const Segment& seg,
-                                      bool checkpoint = false) const;
+                                      bool checkpoint = false,
+                                      bool delta = false) const;
 
   // Announces every queued victim reclaim to the backend. Called only
   // when it is crash-safe to do so — see reclaim_queue_ below.
   Status ReleaseReclaims();
 
-  // --- Backend emission: one seam for sync and async modes -----------
-  // In sync mode these call the backend directly (bit-for-bit the PR 3
-  // behaviour); in async mode they enqueue onto the seal pipeline, whose
-  // queue order preserves the emission order.
-
-  // Shared async path: enqueue with backpressure accounting; a rejected
-  // enqueue maps to the pipeline's sticky error (or a stopped-pipeline
-  // error). `ticket_out` receives the op's ticket when wanted.
-  Status EnqueueOp(SealPipeline::Op op, uint64_t* ticket_out = nullptr);
+  // --- Backend emission ----------------------------------------------
+  // Each builds one SealPipeline::Op and submits it; the pipeline applies
+  // it inline (sync) or in queue order on its I/O thread (async), so the
+  // backend sees the emission order either way.
 
   Status EmitSeal(SegmentId id, const Segment& seg);
-  Status EmitCheckpoint(SegmentId id, const Segment& seg);
-  // Delta path (StoreConfig::checkpoint_delta): emits only the suffix
-  // past the slot's durable watermark, chained to the previous record.
-  Status EmitCheckpointDelta(SegmentId id, const Segment& seg);
-  // Checkpoint decision for one open segment: skip when the emitted
-  // chain already covers every entry, delta when a same-generation chain
-  // exists, full otherwise (no chain, generation changed, delta disabled
-  // or O_DIRECT).
+  // Checkpoint of one open segment: skip when the emitted chain already
+  // covers every entry, a delta (StoreConfig::checkpoint_delta: only the
+  // suffix past the durable watermark, chained to the previous record)
+  // when a same-generation chain exists, full otherwise.
   Status EmitOpenSegmentCheckpoint(SegmentId id, const Segment& seg);
   Status EmitReclaim(SegmentId id, UpdateCount unow);
   Status EmitDelete(PageId page, uint64_t seq, UpdateCount unow);
 
   bool CheckpointingEnabled() const {
     return config_.checkpoint_interval_ops > 0;
-  }
-
-  // Delta checkpoints are gated off under O_DIRECT: a suffix pwrite is
-  // not guaranteed to be aligned, and the full-rewrite path already is.
-  bool DeltaCheckpointsEnabled() const {
-    return config_.checkpoint_delta && !config_.backend_direct_io;
   }
 
   // Bumps the slot's fill generation and closes its emitted chain; any
@@ -311,9 +305,9 @@ class StoreShard {
   }
 
   // Advances the durable watermark of every slot whose pending
-  // checkpoint record the pipeline has applied AND synced (applied
-  // tickets only move after the batch group-fsync). Sync mode commits
-  // watermarks at emission instead and never queues here.
+  // checkpoint record the pipeline has applied AND synced (async applied
+  // tickets only move after the batch group-fsync; sync-mode ops carry
+  // ticket 0, applied at submission).
   void CommitDurableWatermarks();
 
   /// True if `id` is a cleaned victim whose free record is still
@@ -374,9 +368,10 @@ class StoreShard {
   StoreConfig config_;
   std::unique_ptr<CleaningPolicy> policy_;
   std::unique_ptr<SegmentBackend> backend_;
-  /// Non-null iff config_.async_seal: the per-shard I/O thread. Declared
-  /// after backend_ so it shuts down before the backend is destroyed.
-  std::unique_ptr<SealPipeline> pipeline_;
+  /// The one path to backend_ (an I/O thread when config_.async_seal).
+  /// Declared after backend_ so it shuts down before the backend is
+  /// destroyed.
+  SealPipeline pipeline_;
   ExactFrequencyFn oracle_;
 
   std::vector<Segment> segments_;
@@ -425,9 +420,10 @@ class StoreShard {
   /// Open segments that received GC-moved pages since they were opened.
   std::unordered_set<SegmentId> gc_dirty_open_;
 
-  /// Async mode: pipeline ticket of each segment's latest emitted seal,
-  /// indexed by SegmentId. ReadPage waits on it so a read never races
-  /// the payload write still sitting in the queue (0 = nothing pending).
+  /// Pipeline ticket of each segment's latest emitted seal, indexed by
+  /// SegmentId. ReadPage waits on it so a read never races the payload
+  /// write still sitting in the async queue (0 = nothing pending; sync
+  /// seals always carry 0).
   std::vector<uint64_t> seal_ticket_;
   /// Backend ops emitted since the last checkpoint round (periodic
   /// checkpointing, see MaybePeriodicCheckpoint).
@@ -449,12 +445,12 @@ class StoreShard {
     uint64_t emitted_bytes = 0;
   };
   std::vector<CheckpointChain> ckpt_chain_;
-  /// Async mode: checkpoint records emitted but not yet known durable.
+  /// Checkpoint records emitted but not yet known durable.
   /// CommitDurableWatermarks moves each into the Segment's watermark
   /// once the pipeline's applied ticket passes it — never earlier, so a
-  /// delta's base range is always durable (the ISSUE's "watermark
-  /// advance only after durability"). Consecutive deltas of a slot may
-  /// therefore overlap; byte-stability makes the overlap identical.
+  /// delta's base range is always durable. In async mode consecutive
+  /// deltas of a slot may therefore overlap; byte-stability makes the
+  /// overlap identical.
   struct PendingWatermark {
     SegmentId id;
     uint64_t generation;

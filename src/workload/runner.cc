@@ -39,24 +39,28 @@ std::unique_ptr<ShardedStore> MakeVariantStore(const StoreConfig& config,
 }
 
 // The measured result of a finished run, from the store's merged
-// counters (merged snapshots, so async-mode device counters count too).
-RunResult Collect(const ShardedStore& store, const std::string& variant,
+// counters. Every shard's seal queue is waited out first, so async-mode
+// device counters are complete rather than a function of how far each
+// I/O thread had got.
+RunResult Collect(ShardedStore* store, const std::string& variant,
                   uint32_t threads, double measure_seconds) {
+  Status s = store->DrainSealQueues();
+  if (!s.ok()) return Fail(s, variant, threads, store->num_shards());
   RunResult r;
   r.status = Status::OK();
   r.variant = variant;
-  r.stats = store.AggregatedStats();
+  r.stats = store->AggregatedStats();
   r.wamp = r.stats.WriteAmplification();
   r.mean_clean_emptiness = r.stats.MeanCleanEmptiness();
-  r.effective_fill = store.CurrentFillFactor();
+  r.effective_fill = store->CurrentFillFactor();
   r.threads = threads;
-  r.shards = store.num_shards();
+  r.shards = store->num_shards();
   r.measure_seconds = measure_seconds;
   r.updates_per_second =
       measure_seconds > 0
           ? static_cast<double>(r.stats.user_updates) / measure_seconds
           : 0.0;
-  r.shard_wamp = store.PerShardWriteAmplification();
+  r.shard_wamp = store->PerShardWriteAmplification();
   return r;
 }
 
@@ -204,7 +208,7 @@ RunResult RunSynthetic(const StoreConfig& config, Variant variant,
   s = update_phase(measure);
   const auto t1 = std::chrono::steady_clock::now();
   if (!s.ok()) return Fail(s, label, threads, shards);
-  return Collect(*store, label, threads,
+  return Collect(store.get(), label, threads,
                  std::chrono::duration<double>(t1 - t0).count());
 }
 
@@ -285,7 +289,7 @@ RunResult RunTrace(const StoreConfig& config, Variant variant,
   Status s = ReplayTraceParallel(store.get(), trace, measure_from,
                                  &measure_seconds, presplit);
   if (!s.ok()) return Fail(s, label, shards, shards);
-  return Collect(*store, label, shards, measure_seconds);
+  return Collect(store.get(), label, shards, measure_seconds);
 }
 
 }  // namespace lss

@@ -1,5 +1,6 @@
 #include "core/io_backend.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -80,6 +81,26 @@ class IoBackendTest : public ::testing::Test {
   std::string dir_;
 };
 
+// FNV-1a 64 of a file's bytes, leaving out each `slot_bytes`-sized slot
+// flagged in `free_slot`: a reclaimed payload slot reads back as zeros
+// only where the filesystem punches holes, so its contents are not part
+// of the format.
+uint64_t HashFile(const std::string& path, uint64_t slot_bytes = 1,
+                  const std::vector<bool>& free_slot = {}) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  uint64_t pos = 0;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f), ++pos) {
+    const uint64_t slot = pos / slot_bytes;
+    if (slot < free_slot.size() && free_slot[slot]) continue;
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001B3ull;
+  }
+  std::fclose(f);
+  return h;
+}
+
 TEST(PagePayloadTest, FillAndVerifyRoundTrip) {
   std::vector<uint8_t> buf(1000);
   FillPagePayload(7, 1000, buf.data());
@@ -102,17 +123,11 @@ TEST(BackendSpecTest, ParsesAllForms) {
   EXPECT_EQ(c.backend, BackendKind::kFile);
   EXPECT_EQ(c.backend_dir, "/x/y");
   EXPECT_TRUE(c.backend_fsync);
-  EXPECT_FALSE(c.backend_direct_io);
   EXPECT_EQ(BackendSpecName(c), "file:/x/y");
 
   ASSERT_TRUE(ApplyBackendSpec("file-nosync:/x", &c).ok());
   EXPECT_FALSE(c.backend_fsync);
   EXPECT_EQ(BackendSpecName(c), "file-nosync:/x");
-
-  ASSERT_TRUE(ApplyBackendSpec("file-direct:/x", &c).ok());
-  EXPECT_TRUE(c.backend_direct_io);
-  EXPECT_TRUE(c.backend_fsync);
-  EXPECT_EQ(BackendSpecName(c), "file-direct:/x");
 
   ASSERT_TRUE(ApplyBackendSpec("null", &c).ok());
   EXPECT_EQ(c.backend, BackendKind::kNull);
@@ -127,16 +142,20 @@ TEST(BackendSpecTest, RejectsBadSpecs) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(ApplyBackendSpec("io_uring:/x", &c).code(),
             Status::Code::kInvalidArgument);
-  // The deleted ring backend's forms are rejected, and the error lists
-  // only the forms that remain.
+  // The deleted ring backend's and O_DIRECT forms are rejected, and the
+  // error lists only the forms that remain.
   EXPECT_EQ(ApplyBackendSpec("uring-nosync:/x", &c).code(),
             Status::Code::kInvalidArgument);
   const Status s = ApplyBackendSpec("uring:/x/y", &c);
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_NE(s.ToString().find(
-                "(want null | file:DIR | file-nosync:DIR | file-direct:DIR)"),
+  EXPECT_NE(s.ToString().find("(want null | file:DIR | file-nosync:DIR)"),
             std::string::npos)
       << s.ToString();
+  const Status direct = ApplyBackendSpec("file-direct:/x", &c);
+  EXPECT_EQ(direct.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(direct.ToString().find("(want null | file:DIR | file-nosync:DIR)"),
+            std::string::npos)
+      << direct.ToString();
 }
 
 TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
@@ -312,28 +331,6 @@ TEST(IoBackendPlainTest, OpenWithNullBackendIsRejected) {
                                         FactoryFor(Variant::kGreedy), &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
-}
-
-TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
-  // O_DIRECT where the filesystem supports it, silent fallback where it
-  // does not (tmpfs) — either way the store must round-trip.
-  StoreConfig cfg = FileConfig(/*fsync=*/true);
-  cfg.backend_direct_io = true;
-  ASSERT_TRUE(cfg.Validate().ok());
-  {
-    auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy));
-    ASSERT_NE(store, nullptr);
-    Rng rng(13);
-    for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 1500; ++i) {
-      ASSERT_TRUE(store->Write(rng.NextBounded(32)).ok());
-    }
-    ASSERT_TRUE(store->Close().ok());
-  }
-  auto store = ShardedStore::Open(cfg, 1, FactoryFor(Variant::kGreedy));
-  ASSERT_NE(store, nullptr);
-  EXPECT_TRUE(store->CheckInvariants().ok());
-  EXPECT_EQ(store->LivePageCount(), 32u);
 }
 
 TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
@@ -1173,6 +1170,9 @@ void DriveRawSequence(SegmentBackend* b) {
   ASSERT_TRUE(b->Sync().ok());
 }
 
+constexpr uint64_t kRawMetaHash = 14167656804714279981ull;
+constexpr uint64_t kRawDataHash = 1504895505414771728ull;
+
 // The raw sequence round-trips through Scan: only the latest state of
 // each slot survives, with its tombstone and re-homing record, and the
 // payload reads back with its page's pattern.
@@ -1185,6 +1185,14 @@ TEST_F(IoBackendTest, RawSequenceRoundTripsThroughScan) {
     DriveRawSequence(&writer);
     ASSERT_TRUE(writer.Close().ok());
   }
+  // The exact bytes are pinned, so a change to any record writer that
+  // moves one byte of the format fails here. Slot 1 was reclaimed.
+  std::vector<bool> free_slot(cfg.num_segments, false);
+  free_slot[1] = true;
+  EXPECT_EQ(HashFile(FileBackend::MetaPath(dir_, 0)), kRawMetaHash);
+  EXPECT_EQ(
+      HashFile(FileBackend::DataPath(dir_, 0), cfg.segment_bytes, free_slot),
+      kRawDataHash);
   FileBackend reader;
   StoreStats stats;
   ASSERT_TRUE(reader.Open(cfg, 0, 1, &stats, /*recover=*/true).ok());
@@ -1201,6 +1209,154 @@ TEST_F(IoBackendTest, RawSequenceRoundTripsThroughScan) {
   ASSERT_TRUE(reader.ReadPagePayload(0, 0, 1, 4096, &data).ok());
   EXPECT_TRUE(VerifyPagePayload(1, 4096, data.data()));
   ASSERT_TRUE(reader.Close().ok());
+}
+
+constexpr uint64_t kChurnMetaHash = 2640295047924715576ull;
+constexpr uint64_t kChurnDataHash = 12029915457484952114ull;
+
+// The files of a seeded sync-mode churn — cleaning, deletes, periodic
+// full and delta checkpoints — pinned byte for byte.
+TEST_F(IoBackendTest, CheckpointChurnFilesArePinned) {
+  StoreConfig cfg = FileConfig();
+  cfg.segment_bytes = 16 * 4096;
+  cfg.num_segments = 24;
+  cfg.checkpoint_interval_ops = 1;
+  cfg.checkpoint_delta = true;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kMdc));
+  ASSERT_NE(store, nullptr);
+  Rng rng(29);
+  for (PageId p = 0; p < 160; ++p) ASSERT_TRUE(store->Write(p).ok());
+  for (int i = 0; i < 3000; ++i) {
+    const PageId p = rng.NextBounded(160);
+    if (i % 11 == 0 && store->Contains(p)) {
+      ASSERT_TRUE(store->Delete(p).ok());
+    } else {
+      ASSERT_TRUE(store->Write(p).ok());
+    }
+    if (i % 700 == 699) {
+      ASSERT_TRUE(store->Checkpoint().ok());
+    }
+  }
+  ASSERT_TRUE(store->Close().ok());
+  const StoreStats& stats = store->shard(0).stats();
+  ASSERT_GT(stats.segments_cleaned, 0u);
+  ASSERT_GT(stats.deletes, 0u);
+  ASSERT_GT(stats.checkpoint_full_records, 0u);
+  ASSERT_GT(stats.checkpoint_delta_records, 0u);
+  std::vector<bool> free_slot;
+  for (const Segment& seg : store->shard(0).segments()) {
+    free_slot.push_back(seg.state() == SegmentState::kFree);
+  }
+  EXPECT_EQ(HashFile(FileBackend::MetaPath(dir_, 0)), kChurnMetaHash);
+  EXPECT_EQ(
+      HashFile(FileBackend::DataPath(dir_, 0), cfg.segment_bytes, free_slot),
+      kChurnDataHash);
+}
+
+// Forwards to a NullBackend and logs the kind and the slot or page of
+// every mutating call except Sync.
+class RecordingBackend : public SegmentBackend {
+ public:
+  explicit RecordingBackend(std::vector<std::string>* log) : log_(log) {}
+
+  Status Open(const StoreConfig& config, uint32_t shard_id,
+              uint32_t num_shards, StoreStats* stats, bool recover) override {
+    return base_.Open(config, shard_id, num_shards, stats, recover);
+  }
+  Status SealSegment(const BackendSegmentRecord& record) override {
+    Log("seal", record.id);
+    return base_.SealSegment(record);
+  }
+  Status Checkpoint(const BackendSegmentRecord& record) override {
+    Log("checkpoint", record.id);
+    return base_.Checkpoint(record);
+  }
+  Status CheckpointDelta(const BackendSegmentRecord& record) override {
+    Log("delta", record.id);
+    return base_.CheckpointDelta(record);
+  }
+  Status RehomeEntries(const BackendSegmentRecord& record) override {
+    Log("rehome", record.id);
+    return base_.RehomeEntries(record);
+  }
+  Status Sync() override { return base_.Sync(); }
+  void SetDeferredSync(bool on) override { base_.SetDeferredSync(on); }
+  Status ReclaimSegment(SegmentId id, UpdateCount unow) override {
+    Log("reclaim", id);
+    return base_.ReclaimSegment(id, unow);
+  }
+  Status RecordDelete(PageId page, uint64_t seq, UpdateCount unow) override {
+    Log("delete", page);
+    return base_.RecordDelete(page, seq, unow);
+  }
+  Status ReadPagePayload(SegmentId id, uint64_t offset, PageId page,
+                         uint32_t bytes, std::vector<uint8_t>* out) override {
+    return base_.ReadPagePayload(id, offset, page, bytes, out);
+  }
+  Status Scan(BackendRecovery* out) override { return base_.Scan(out); }
+  Status Close() override { return base_.Close(); }
+  std::string name() const override { return "recording"; }
+
+ private:
+  void Log(const char* kind, uint64_t target) {
+    log_->push_back(std::string(kind) + " " + std::to_string(target));
+  }
+
+  NullBackend base_;
+  std::vector<std::string>* log_;
+};
+
+// Async seals only move backend calls onto the I/O thread: the same
+// seeded churn emits the same kinds on the same slots and pages, in the
+// same order, whichever seal mode runs it. (Delta suffix ranges are not
+// compared: async bases each delta on the durable watermark, so
+// consecutive ranges may overlap.)
+TEST(AsyncSealParityTest, SyncAndAsyncSendTheSameBackendCalls) {
+  auto run = [](bool async) {
+    StoreConfig cfg = SmallConfig();
+    cfg.segment_bytes = 16 * 4096;
+    cfg.num_segments = 24;
+    cfg.async_seal = async;
+    cfg.seal_queue_depth = 4;
+    cfg.checkpoint_interval_ops = 1;
+    cfg.checkpoint_delta = true;
+    ApplyVariantConfig(Variant::kMdc, &cfg);
+    std::vector<std::string> log;
+    auto store = CreateWithBackend(cfg, Variant::kMdc,
+                                   std::make_unique<RecordingBackend>(&log));
+    EXPECT_NE(store, nullptr);
+    if (store == nullptr) return log;
+    Rng rng(41);
+    for (PageId p = 0; p < 160; ++p) EXPECT_TRUE(store->Write(p).ok());
+    for (int i = 0; i < 4000; ++i) {
+      const PageId p = rng.NextBounded(160);
+      if (i % 13 == 0 && store->Contains(p)) {
+        EXPECT_TRUE(store->Delete(p).ok());
+      } else {
+        EXPECT_TRUE(store->Write(p).ok());
+      }
+      if (i % 900 == 899) {
+        EXPECT_TRUE(store->Checkpoint().ok());
+      }
+    }
+    EXPECT_TRUE(store->Close().ok());
+    return log;
+  };
+  const std::vector<std::string> sync_log = run(false);
+  const std::vector<std::string> async_log = run(true);
+  for (const char* kind : {"seal ", "checkpoint ", "delta ", "reclaim ",
+                           "delete "}) {
+    EXPECT_TRUE(std::any_of(sync_log.begin(), sync_log.end(),
+                            [kind](const std::string& e) {
+                              return e.rfind(kind, 0) == 0;
+                            }))
+        << "the churn never emitted " << kind;
+  }
+  ASSERT_EQ(sync_log.size(), async_log.size());
+  for (size_t i = 0; i < sync_log.size(); ++i) {
+    ASSERT_EQ(sync_log[i], async_log[i]) << "first difference at call " << i;
+  }
 }
 
 }  // namespace

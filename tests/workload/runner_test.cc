@@ -1,8 +1,14 @@
 #include "workload/runner.h"
 
+#include <cstdlib>
+#include <string>
+
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "analysis/uniform_model.h"
+#include "core/io_backend.h"
 #include "workload/zipfian_workload.h"
 
 namespace lss {
@@ -98,6 +104,42 @@ TEST(RunnerTest, ResultsAreReproducibleAcrossRuns) {
   const RunResult a = RunSynthetic(base, Variant::kMdc, w, spec);
   const RunResult b = RunSynthetic(base, Variant::kMdc, w, spec);
   ASSERT_TRUE(a.status.ok());
+  EXPECT_DOUBLE_EQ(a.wamp, b.wamp);
+}
+
+// Async seals move device writes onto each shard's I/O thread. The
+// runner waits those queues out before it snapshots, so a finished
+// run's device counters do not depend on how far the threads had got.
+TEST(RunnerTest, AsyncFileRunDeviceCountersAreReproducible) {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string tmpl =
+      std::string(tmp != nullptr ? tmp : "/tmp") + "/lss_runner_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  StoreConfig base = TestConfig();
+  base.backend = BackendKind::kFile;
+  base.backend_dir = tmpl;
+  base.backend_fsync = false;
+  base.async_seal = true;
+  base.seal_queue_depth = 4;
+  const uint64_t user_pages = base.UserPagesForFillFactor(0.7);
+  UniformWorkload w(user_pages);
+  RunSpec spec;
+  spec.fill_factor = 0.7;
+  spec.warmup_multiplier = 1;
+  spec.measure_multiplier = 2;
+  spec.seed = 5;
+  const RunResult a = RunSynthetic(base, Variant::kGreedy, w, spec, 1, 2);
+  const RunResult b = RunSynthetic(base, Variant::kGreedy, w, spec, 1, 2);
+  for (uint32_t i = 0; i < 2; ++i) {
+    ::unlink(FileBackend::DataPath(tmpl, i).c_str());
+    ::unlink(FileBackend::MetaPath(tmpl, i).c_str());
+  }
+  ::rmdir(tmpl.c_str());
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_GT(a.stats.device_bytes_written, 0u);
+  EXPECT_EQ(a.stats.device_bytes_written, b.stats.device_bytes_written);
+  EXPECT_EQ(a.stats.device_write_ops, b.stats.device_write_ops);
   EXPECT_DOUBLE_EQ(a.wamp, b.wamp);
 }
 
